@@ -193,14 +193,10 @@ func BenchmarkCoreIdealN1000(b *testing.B) {
 	benchProtocol(b, Config{Protocol: Core, N: 1000, F: 300, Lambda: 40})
 }
 
-func BenchmarkCoreIdealN1000Sparse(b *testing.B) {
-	benchProtocol(b, Config{Protocol: Core, N: 1000, F: 300, Lambda: 40, Sparse: true})
-}
-
-// The large-N scaling point of the sparse engine path (E13's middle
-// sweep entry); ~0.5 s per op, so use -benchtime=3x locally.
-func BenchmarkCoreIdealN10kSparse(b *testing.B) {
-	benchProtocol(b, Config{Protocol: Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true})
+// The large-N scaling point (E13's middle sweep entry); ~0.3 s per op, so
+// use -benchtime=3x locally.
+func BenchmarkCoreIdealN10k(b *testing.B) {
+	benchProtocol(b, Config{Protocol: Core, N: 10_000, F: 3_000, Lambda: 40})
 }
 
 func BenchmarkCoreRealN200(b *testing.B) {

@@ -60,7 +60,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := base
-	par.Parallel = true
+	par.StepWorkers = 4
 	got, err := Run(par)
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,8 @@
 //	ba -protocol core -n 200 -f 60 -trials 100 -workers 8 -json
 //	ba -net delta -delta 3 -trials 8 -workers 4 -json
 //	ba -net omission -omission-rate 0.25 -n 100 -f 30
-//	ba -sparse -n 100000 -f 30000 -lambda 40       # large-N engine path
-//	ba -scenario core-sparse-n100k
+//	ba -n 100000 -f 30000 -lambda 40 -step-workers 4   # large N, sharded stepping
+//	ba -scenario core-n100k
 //	ba -scenario core-delta3-n200
 //	ba -protocol aba -n 16 -f 5 -sched adversarial-delay   # async track
 //	ba -protocol acs -n 16 -f 5 -crashes 5 -sched random
@@ -69,9 +69,7 @@ func run(args []string, out io.Writer) error {
 		listScenarios = fs.Bool("scenarios", false, "list the registered scenarios and exit")
 		trials        = fs.Int("trials", 1, "number of runs (aggregated when > 1)")
 		workers       = fs.Int("workers", 0, "trial worker-pool size (0 = GOMAXPROCS); aggregates are identical for every value")
-		parallel      = fs.Bool("parallel", false, "step nodes on multiple goroutines")
-		sparse        = fs.Bool("sparse", false, "memory-lean large-N engine path (delta-one, passive adversary); use for n ≥ ~10⁵")
-		sparseWorkers = fs.Int("sparse-workers", 0, "sparse shard-stepping worker count (0 = GOMAXPROCS, 1 = serial); results are byte-identical for every value")
+		stepWorkers   = fs.Int("step-workers", 0, "node-stepping worker count per round (0 or 1 = serial); results are byte-identical for every value")
 		asJSON        = fs.Bool("json", false, "emit the outcome as JSON")
 		traceFile     = fs.String("trace", "", "write the canonical round-event trace (JSONL, DESIGN.md §10) to this file; single runs only")
 	)
@@ -93,17 +91,15 @@ func run(args []string, out io.Writer) error {
 	cfg := ccba.Config{
 		Protocol: ccba.Protocol(*protocol),
 		N:        *n, F: *f, Lambda: *lambda, Epochs: *epochs,
-		Crypto:        ccba.CryptoMode(*crypto),
-		Erasure:       *erasure,
-		Parallel:      *parallel,
-		Sparse:        *sparse,
-		SparseWorkers: *sparseWorkers,
-		Net:           ccba.NetName(*net),
-		Delta:         *delta,
-		OmissionRate:  *omissionRate,
-		Sched:         ccba.SchedName(*sched),
-		AdvDelay:      *advDelay,
-		Crashes:       *crashes,
+		Crypto:       ccba.CryptoMode(*crypto),
+		Erasure:      *erasure,
+		StepWorkers:  *stepWorkers,
+		Net:          ccba.NetName(*net),
+		Delta:        *delta,
+		OmissionRate: *omissionRate,
+		Sched:        ccba.SchedName(*sched),
+		AdvDelay:     *advDelay,
+		Crashes:      *crashes,
 	}
 	advName := *adversary
 	if *scenarioName != "" {
@@ -112,13 +108,6 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("unknown scenario %q (registered: %v)", *scenarioName, ccba.ScenarioNames())
 		}
 		cfg = sc.Config
-		cfg.Parallel = *parallel
-		if set["sparse"] {
-			cfg.Sparse = *sparse
-		}
-		if set["sparse-workers"] {
-			cfg.SparseWorkers = *sparseWorkers
-		}
 		if !set["adversary"] {
 			advName = sc.Adversary
 			if advName == "" {
@@ -140,6 +129,7 @@ func run(args []string, out io.Writer) error {
 			"sched":         func() { cfg.Sched = ccba.SchedName(*sched) },
 			"adv-delay":     func() { cfg.AdvDelay = *advDelay },
 			"crashes":       func() { cfg.Crashes = *crashes },
+			"step-workers":  func() { cfg.StepWorkers = *stepWorkers },
 		}
 		for name, apply := range override {
 			if set[name] {
@@ -256,7 +246,6 @@ func run(args []string, out io.Writer) error {
 			Rounds:     rep.Rounds,
 			Corrupted:  rep.NumCorrupt(),
 			Metrics:    rep.Result.Metrics,
-			Intern:     rep.Intern,
 			Async:      rep.Async,
 			Ok:         rep.Ok(),
 			Violations: map[string]string{},
@@ -315,10 +304,9 @@ func netLabel(cfg ccba.Config) string {
 	return string(cfg.Net)
 }
 
-// singleRunJSON is the -json document for a single execution. The intern
-// field appears only on interning runs (Sparse defaults it on); its counters
-// are deterministic per (config, seed), so sparse documents stay
-// byte-diffable across -sparse-workers values.
+// singleRunJSON is the -json document for a single execution. It carries
+// only the protocol-visible facts, so the live cluster's document for the
+// same config and seed is byte-identical to it.
 type singleRunJSON struct {
 	Protocol   string            `json:"protocol"`
 	N          int               `json:"n"`
@@ -330,7 +318,6 @@ type singleRunJSON struct {
 	Rounds     int               `json:"rounds"`
 	Corrupted  int               `json:"corrupted"`
 	Metrics    ccba.Metrics      `json:"metrics"`
-	Intern     *ccba.InternStats `json:"intern,omitempty"`
 	Async      *ccba.AsyncInfo   `json:"async,omitempty"`
 	Ok         bool              `json:"ok"`
 	Violations map[string]string `json:"violations"`

@@ -44,26 +44,22 @@ type benchCase struct {
 // lists in sync: this one feeds the tracked JSON artifacts.
 //
 // The two CoreIdealN1000Delta* cases bracket the scheduling layer:
-// DeltaOne must keep the PR1 zero-allocation fast path (allocs/op on par
-// with CoreIdealN1000), while delta=3 worst-case runs the general
-// per-link scheduler at full fan-out to iteration exhaustion.
-// The three CoreIdeal*Sparse cases track the large-N engine path:
-// N1000Sparse sits next to CoreIdealN1000 so the sparse path's overhead at
-// ordinary sizes stays visible, N10k/N100k are the scaling points the E13
-// experiment sweeps — the dense engine has no tracked cases there because
-// the sparse path is the supported way to run them.
+// DeltaOne must keep the zero-allocation fast path (allocs/op on par with
+// CoreIdealN1000), while delta=3 worst-case runs the Δ-scheduling ring at
+// full fan-out to iteration exhaustion. N10k/N100k are the scaling points
+// the E13 experiment sweeps; the N10kW1/W4 pair pins the stepping-worker
+// knob.
 var cases = []benchCase{
 	{Name: "CoreIdealN200", Cfg: ccba.Config{Protocol: ccba.Core, N: 200, F: 60, Lambda: 40}},
 	{Name: "CoreIdealN1000", Cfg: ccba.Config{Protocol: ccba.Core, N: 1000, F: 300, Lambda: 40}},
-	{Name: "CoreIdealN1000Sparse", Cfg: ccba.Config{Protocol: ccba.Core, N: 1000, F: 300, Lambda: 40, Sparse: true}},
-	{Name: "CoreIdealN10kSparse", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true}},
-	{Name: "CoreIdealN10kSparseW1", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true, SparseWorkers: 1}},
-	{Name: "CoreIdealN10kSparseW4", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, Sparse: true, SparseWorkers: 4}},
-	{Name: "CoreRealN10kSparse", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, Crypto: ccba.Real, Sparse: true}},
-	{Name: "CoreIdealN100kSparse", Cfg: ccba.Config{Protocol: ccba.Core, N: 100_000, F: 30_000, Lambda: 40, Sparse: true}},
-	// The E13 stretch point; run explicitly with -only N1MSparse. One
-	// execution takes minutes, so it is excluded from the default set.
-	{Name: "CoreIdealN1MSparse", Cfg: ccba.Config{Protocol: ccba.Core, N: 1_000_000, F: 300_000, Lambda: 40, Sparse: true}, Heavy: true},
+	{Name: "CoreIdealN10k", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40}},
+	{Name: "CoreIdealN10kW1", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, StepWorkers: 1}},
+	{Name: "CoreIdealN10kW4", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, StepWorkers: 4}},
+	{Name: "CoreRealN10k", Cfg: ccba.Config{Protocol: ccba.Core, N: 10_000, F: 3_000, Lambda: 40, Crypto: ccba.Real}},
+	{Name: "CoreIdealN100k", Cfg: ccba.Config{Protocol: ccba.Core, N: 100_000, F: 30_000, Lambda: 40}},
+	// The E13 stretch point; run explicitly with -only N1M. One execution
+	// takes minutes, so it is excluded from the default set.
+	{Name: "CoreIdealN1M", Cfg: ccba.Config{Protocol: ccba.Core, N: 1_000_000, F: 300_000, Lambda: 40}, Heavy: true},
 	{Name: "CoreIdealN1000DeltaOne", Cfg: ccba.Config{Protocol: ccba.Core, N: 1000, F: 300, Lambda: 40, Net: ccba.NetDeltaOne, Delta: 1}},
 	{Name: "CoreIdealN1000Delta3Worst", Cfg: ccba.Config{Protocol: ccba.Core, N: 1000, F: 300, Lambda: 40, MaxIters: 12, Net: ccba.NetWorstCase, Delta: 3}, AllowViolations: true},
 	{Name: "CoreIdealN200Omission25", Cfg: ccba.Config{Protocol: ccba.Core, N: 200, F: 60, Lambda: 40, Net: ccba.NetOmission, OmissionRate: 0.25}, AllowViolations: true},
@@ -134,9 +130,9 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// GOMAXPROCS and Workers pin the parallelism the case ran with:
-	// Workers is the resolved execution worker count (sparse shard
-	// stepping or trial pool; 0 for purely serial cases), so speedup
-	// comparisons across hosts and PRs need no side-channel.
+	// Workers is the resolved execution worker count (node-stepping shards
+	// or trial pool; 0 for purely serial cases), so speedup comparisons
+	// across hosts and PRs need no side-channel.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	Workers    int `json:"workers,omitempty"`
 	// PeakHeapBytes is the maximum live heap (runtime.ReadMemStats
@@ -146,9 +142,9 @@ type Result struct {
 	InstancesPerSec float64 `json:"instances_per_sec,omitempty"`
 	MsgsPerSec      float64 `json:"msgs_per_sec,omitempty"`
 	// Intern is the attestation intern table's sharing telemetry from a
-	// fixed-seed calibration run — sparse cases only, where interning
-	// defaults on. Like the cluster msgs/sec calibration, the fixed seed
-	// keeps the tracked counts comparable across PRs.
+	// fixed-seed calibration run of a simulator case whose protocol
+	// interns. Like the cluster msgs/sec calibration, the fixed seed keeps
+	// the tracked counts comparable across PRs.
 	Intern *ccba.InternStats `json:"intern,omitempty"`
 }
 
@@ -196,20 +192,13 @@ func run(args []string) error {
 		rep.Notes = strings.Split(*notes, ";")
 	}
 
-	// sparseWorkers resolves the shard-stepping worker count a sparse case
-	// executes with, mirroring the engine's 0 = GOMAXPROCS default.
-	sparseWorkers := func(cfg ccba.Config) int {
-		if !cfg.Sparse {
-			return 0
+	// stepWorkers resolves the node-stepping worker count a case executes
+	// with, mirroring the engine's clamp to [1, N]; serial cases report 0.
+	stepWorkers := func(cfg ccba.Config) int {
+		if w := min(cfg.StepWorkers, cfg.N); w > 1 {
+			return w
 		}
-		w := cfg.SparseWorkers
-		if w <= 0 {
-			w = maxprocs
-		}
-		if w > cfg.N {
-			w = cfg.N
-		}
-		return w
+		return 0
 	}
 
 	for _, c := range cases {
@@ -232,7 +221,7 @@ func run(args []string) error {
 			BytesPerOp:    r.AllocedBytesPerOp(),
 			AllocsPerOp:   r.AllocsPerOp(),
 			GOMAXPROCS:    maxprocs,
-			Workers:       sparseWorkers(c.Cfg),
+			Workers:       stepWorkers(c.Cfg),
 			PeakHeapBytes: peak,
 			Intern:        intern,
 		})
@@ -348,14 +337,11 @@ func runCluster(c clusterCase, cfg ccba.Config) (*cluster.Report, error) {
 	return cluster.Run(ctx, cfg, netw, c.Opts)
 }
 
-// calibrateIntern runs one fixed-seed execution of a sparse case and
-// returns the report's intern-table sharing stats; nil for dense cases,
-// which do not intern. The extra run is what keeps the measured loop free
-// of report plumbing.
+// calibrateIntern runs one fixed-seed execution of a case and returns the
+// report's intern-table sharing stats (nil for protocols that do not
+// intern). The extra run is what keeps the measured loop free of report
+// plumbing.
 func calibrateIntern(c benchCase) (*ccba.InternStats, error) {
-	if !c.Cfg.Sparse {
-		return nil, nil
-	}
 	rep, err := ccba.Run(c.Cfg)
 	if err != nil {
 		return nil, err

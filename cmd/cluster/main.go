@@ -319,7 +319,6 @@ type singleRunJSON struct {
 	Rounds     int               `json:"rounds"`
 	Corrupted  int               `json:"corrupted"`
 	Metrics    ccba.Metrics      `json:"metrics"`
-	Intern     *ccba.InternStats `json:"intern,omitempty"`
 	Ok         bool              `json:"ok"`
 	Violations map[string]string `json:"violations"`
 }

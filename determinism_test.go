@@ -10,8 +10,8 @@ import (
 // (the seed tree, commit 3c34f38) and pin the full observable behaviour of a
 // fixed-seed execution: a hash of every node's (output, decided) pair, the
 // round count, and all four communication-complexity counters. The
-// zero-allocation engine must reproduce them bit-for-bit, serially and on
-// the worker pool — buffer reuse that changed delivery order, metrics
+// zero-allocation engine must reproduce them bit-for-bit at every
+// stepping-worker count — buffer reuse that changed delivery order, metrics
 // accounting, or coin derivation would show up here immediately.
 
 type goldenCase struct {
@@ -76,36 +76,50 @@ func outputsDigest(rep *Report) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// stepWorkers are the node-stepping worker counts the determinism suites
+// sweep: serial and a sharded split.
+var stepWorkers = []int{1, 4}
+
+// workersName labels a worker count in subtest names.
+func workersName(workers int) string {
+	if workers == 1 {
+		return "serial"
+	}
+	return "parallel"
+}
+
+// The goldens through Build + NewRuntime: the map node layout with owned
+// attestation storage that adversarial runs and the live cluster use.
+// TestSparseMatchesGoldens pins Run's compact layout to the same values.
 func TestFixedSeedGoldens(t *testing.T) {
 	for _, tc := range goldenCases {
-		for _, parallel := range []bool{false, true} {
-			name := tc.name + "/serial"
-			if parallel {
-				name = tc.name + "/parallel"
-			}
-			t.Run(name, func(t *testing.T) {
+		for _, workers := range stepWorkers {
+			t.Run(tc.name+"/"+workersName(workers), func(t *testing.T) {
 				cfg := tc.cfg
 				cfg.Seed[0] = 7
-				cfg.Parallel = parallel
-				rep, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Ok() {
-					t.Fatalf("violation: consistency=%v validity=%v termination=%v",
-						rep.Consistency, rep.Validity, rep.Termination)
-				}
-				if got := outputsDigest(rep); got != tc.outputs {
-					t.Errorf("outputs digest = %s, want %s", got, tc.outputs)
-				}
-				if rep.Rounds != tc.rounds {
-					t.Errorf("rounds = %d, want %d", rep.Rounds, tc.rounds)
-				}
-				if rep.Result.Metrics != tc.metrics {
-					t.Errorf("metrics = %+v, want %+v", rep.Result.Metrics, tc.metrics)
-				}
+				cfg.StepWorkers = workers
+				checkGolden(t, tc, runMapLayout(t, cfg))
 			})
 		}
+	}
+}
+
+// checkGolden asserts that rep holds and matches tc's pinned outputs
+// digest, round count and metrics.
+func checkGolden(t *testing.T, tc goldenCase, rep *Report) {
+	t.Helper()
+	if !rep.Ok() {
+		t.Fatalf("violation: consistency=%v validity=%v termination=%v",
+			rep.Consistency, rep.Validity, rep.Termination)
+	}
+	if got := outputsDigest(rep); got != tc.outputs {
+		t.Errorf("outputs digest = %s, want %s", got, tc.outputs)
+	}
+	if rep.Rounds != tc.rounds {
+		t.Errorf("rounds = %d, want %d", rep.Rounds, tc.rounds)
+	}
+	if rep.Result.Metrics != tc.metrics {
+		t.Errorf("metrics = %+v, want %+v", rep.Result.Metrics, tc.metrics)
 	}
 }
 
@@ -138,22 +152,22 @@ func TestDeltaOneExplicitMatchesGoldens(t *testing.T) {
 }
 
 // Two executions of the same configuration must agree exactly — including
-// across serial and parallel stepping — beyond the spot-checked goldens:
-// every output, decision flag, and halt flag.
+// across stepping-worker counts — beyond the spot-checked goldens: every
+// output, decision flag, and halt flag.
 func TestSerialParallelIdentical(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(parallel bool) *Report {
+			run := func(workers int) *Report {
 				cfg := tc.cfg
 				cfg.Seed[0] = 7
-				cfg.Parallel = parallel
+				cfg.StepWorkers = workers
 				rep, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return rep
 			}
-			a, b := run(false), run(true)
+			a, b := run(stepWorkers[0]), run(stepWorkers[1])
 			for i := range a.Outputs {
 				if a.Outputs[i] != b.Outputs[i] || a.Decided[i] != b.Decided[i] || a.Halted[i] != b.Halted[i] {
 					t.Fatalf("node %d: serial (%v,%v,%v) vs parallel (%v,%v,%v)",

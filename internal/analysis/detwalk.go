@@ -10,8 +10,8 @@ import (
 // must be a pure function of (config, seed): the lockstep engine, the
 // protocol state machines, the scenario registry, and the trial harness.
 // Every cross-runtime equivalence claim in the repo — live ≡ sim at Δ=1,
-// serial ≡ parallel, sparse ≡ dense, chaos replay — rests on those
-// packages never reading wall-clock time, global randomness, or Go's
+// serial ≡ sharded stepping, compact ≡ map node layout, chaos replay —
+// rests on those packages never reading wall-clock time, global randomness, or Go's
 // randomized map iteration order into protocol state (DESIGN.md §5, §8).
 //
 // Audited sites opt out with `//ccba:nondeterministic-ok <reason>`.

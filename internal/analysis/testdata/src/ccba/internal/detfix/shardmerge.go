@@ -1,6 +1,6 @@
 package detfix
 
-// The sharded shard-merge idiom (netsim sparse stepping): workers fill
+// The sharded shard-merge idiom (netsim node stepping): workers fill
 // per-shard private buffers indexed by shard number, then a serial loop
 // merges them in shard order. No map is ranged and the merge order is the
 // slice order, so detwalk reports nothing — this file pins the pattern as

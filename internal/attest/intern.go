@@ -25,8 +25,8 @@ import (
 // Interned states are immutable once published, so certificates cut from
 // them alias the shared backing array instead of copying per node.
 //
-// The table is safe for concurrent use: the sharded parallel sparse
-// stepping path advances handles from several worker goroutines at once.
+// The table is safe for concurrent use: sharded node stepping advances
+// handles from several worker goroutines at once.
 // State identity under concurrency is best-effort (two workers racing the
 // same first-ever transition may briefly both take the write path), but
 // state *content* is a pure function of the add sequence, so execution

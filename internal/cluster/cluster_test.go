@@ -96,6 +96,29 @@ func TestChanClusterMatchesLockstep(t *testing.T) {
 	}
 }
 
+// A declarative InputPattern must run live exactly as in the simulator:
+// prepare normalizes the config (materialising the inputs) before Build
+// validates it again, so a normalized config must stay valid.
+func TestClusterAcceptsInputPattern(t *testing.T) {
+	cfg := scenario.Config{Protocol: scenario.Core, N: 16, F: 4, Lambda: 10, InputPattern: scenario.InputsUnanimous1}
+	cfg.Seed[0] = 7
+	sim, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := runChan(t, cfg)
+	if !live.Ok() {
+		t.Fatalf("violation: consistency=%v validity=%v termination=%v",
+			live.Consistency, live.Validity, live.Termination)
+	}
+	for _, id := range live.ForeverHonest() {
+		if live.Outputs[id] != types.One {
+			t.Fatalf("node %d output %v under unanimous input 1", id, live.Outputs[id])
+		}
+	}
+	assertSameExecution(t, live, sim)
+}
+
 // countingNode wraps a lockstep node and tallies its sends, giving the
 // simulator the per-node accounting the cluster produces natively.
 type countingNode struct {

@@ -9,11 +9,12 @@ import (
 )
 
 // A compact-mode execution must be indistinguishable from the map-backed
-// one on the sparse delivery regime (lockstep Δ = 1, passive adversary):
-// same outputs, decisions, rounds, and communication metrics.
+// one in the regime the scenario layer selects it for (lockstep Δ = 1, no
+// adversary): same outputs, decisions, rounds, and communication metrics,
+// serially and with sharded stepping.
 func TestCompactMatchesDense(t *testing.T) {
 	const n, f, lambda = 80, 24, 16
-	run := func(compact, sparse bool) *netsim.Result {
+	run := func(compact bool, workers int) *netsim.Result {
 		cfg := Config{
 			N: n, F: f, Lambda: lambda, MaxIters: 60,
 			Suite:   fmine.NewIdeal([32]byte{7}, Probabilities(n, lambda)),
@@ -27,27 +28,21 @@ func TestCompactMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds(), Sparse: sparse}, nodes, nil)
+		rt, err := netsim.NewRuntime(netsim.Config{N: n, F: f, MaxRounds: cfg.Rounds(), StepWorkers: workers}, nodes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rt.Run()
 	}
-	want := run(false, false)
-	for _, tc := range []struct {
-		name            string
-		compact, sparse bool
-	}{
-		{"compact/dense-engine", true, false},
-		{"compact/sparse-engine", true, true},
-	} {
-		got := run(tc.compact, tc.sparse)
+	want := run(false, 1)
+	for _, workers := range []int{1, 4} {
+		got := run(true, workers)
 		if got.Rounds != want.Rounds || got.Metrics != want.Metrics {
-			t.Errorf("%s: rounds/metrics = %d %+v, want %d %+v", tc.name, got.Rounds, got.Metrics, want.Rounds, want.Metrics)
+			t.Errorf("workers=%d: rounds/metrics = %d %+v, want %d %+v", workers, got.Rounds, got.Metrics, want.Rounds, want.Metrics)
 		}
 		for i := range want.Outputs {
 			if got.Outputs[i] != want.Outputs[i] || got.Decided[i] != want.Decided[i] {
-				t.Fatalf("%s: node %d output (%v,%v), want (%v,%v)", tc.name, i,
+				t.Fatalf("workers=%d: node %d output (%v,%v), want (%v,%v)", workers, i,
 					got.Outputs[i], got.Decided[i], want.Outputs[i], want.Decided[i])
 			}
 		}

@@ -78,13 +78,13 @@ type Config struct {
 	MaxIters int
 	// Suite provides eligibility election (F_mine or the VRF compiler).
 	Suite fmine.Suite
-	// Compact selects the memory-lean node representation of the large-N
-	// engine path (DESIGN.md §6): the per-iteration vote/commit attestation
-	// maps are replaced by a two-slot sliding window whose sets are recycled
-	// across iterations, so a node's footprint is bounded by the committee
-	// size instead of growing with every iteration executed. Valid only
-	// under the sparse path's delivery regime (lockstep Δ = 1, passive
-	// adversary), where protocol traffic only ever touches the current and
+	// Compact selects the memory-lean node representation (DESIGN.md §6):
+	// the per-iteration vote/commit attestation maps are replaced by a
+	// two-slot sliding window whose sets are recycled across iterations, so
+	// a node's footprint is bounded by the committee size instead of
+	// growing with every iteration executed. Valid only under lockstep
+	// Δ = 1 delivery with no adversary — the regime scenario.Run selects it
+	// in — where protocol traffic only ever touches the current and
 	// previous iteration; traffic beyond the window is ignored.
 	Compact bool
 	// Intern, when non-nil, is a per-run intern table shared by every node
@@ -357,13 +357,13 @@ func (n *Node) commitSet(iter uint32) *[2]attest.Set {
 }
 
 // windowSet resolves an iteration's attestation sets in the compact
-// two-slot window. Under the sparse delivery regime (Δ = 1, passive) an
+// two-slot window. Under lockstep Δ = 1 delivery with no adversary an
 // iteration-I message only ever arrives while the node is executing
 // iteration I or I+1 — votes are delivered within their own iteration,
 // commits one phase later — so a {current, previous} window is exactly
 // sufficient and a slot is only reclaimed once its iteration can no longer
-// receive traffic. Requests older than the window (impossible under the
-// sparse preconditions, defensive otherwise) get a scratch pair that is
+// receive traffic. Requests older than the window (impossible in that
+// regime, defensive otherwise) get a scratch pair that is
 // reset on every access: their traffic is observed and discarded.
 func (n *Node) windowSet(w *[2]iterSets, iter uint32) *[2]attest.Set {
 	if w[0].iter == iter {

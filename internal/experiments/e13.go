@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"ccba/internal/harness"
 	"ccba/internal/scenario"
@@ -29,11 +30,11 @@ type E13Fit struct {
 	Points          int
 }
 
-// E13Result is the headline-separation experiment the sparse large-N
-// engine path exists for: the paper's Theorem 2 says committee-sampled BA
+// E13Result is the headline-separation experiment large-N simulation
+// exists for: the paper's Theorem 2 says committee-sampled BA
 // costs Õ(n·polylog) bits where Dolev–Reischuk-style baselines cost
 // Θ(n²), and this sweep measures both growth curves empirically — core at
-// n up to 10⁵–10⁶ on the sparse path, the quadratic baseline over the
+// n up to 10⁵–10⁶, the quadratic baseline over the
 // range it can afford — and fits the log-log slope of total communication
 // against n. The core fit must come out strictly sub-quadratic (in
 // practice ≈1, the linear fan-out of O(λ²) multicasts); the quadratic
@@ -67,13 +68,15 @@ var (
 const e13SerialN = 50_000
 
 // E13ScalingLaw runs the experiment. Core points are swept up to maxN
-// (10⁵ by default in cmd/experiments; 10⁶ is the stretch setting), each on
-// the sparse engine path with the lean F_mine table and compact node
-// state, so the largest points fit in ordinary memory.
+// (10⁵ by default in cmd/experiments; 10⁶ is the stretch setting). The
+// lockstep engine's traffic-sized round state, the success-only F_mine
+// table, compact node state and attestation interning keep the largest
+// points in ordinary memory; node stepping is sharded over GOMAXPROCS
+// workers to cut wall time.
 //
 // crypto selects the core sweep's instantiation: Ideal runs the
 // F_mine-hybrid world; Real runs the Appendix D compiler — Ed25519 VRF
-// mining with the lean bounded verify cache — so the k≈1 fit is
+// mining with the bounded verify cache — so the k≈1 fit is
 // demonstrated for the protocol as deployed, not just the hybrid. The
 // quadratic baseline always uses real signatures (it has no F_mine), so
 // only the core rows change.
@@ -82,9 +85,10 @@ func E13ScalingLaw(o Opts, maxN int, crypto scenario.CryptoMode) (*E13Result, er
 	if crypto == "" {
 		crypto = scenario.Ideal
 	}
+	workers := runtime.GOMAXPROCS(0)
 	res := &E13Result{Lambda: lambda}
 	res.Table = table.New(
-		fmt.Sprintf("E13 (Theorem 2 at scale) — total communication vs n: core (sparse engine, λ=%d, %s crypto) vs quadratic baseline", lambda, crypto),
+		fmt.Sprintf("E13 (Theorem 2 at scale) — total communication vs n: core (λ=%d, %s crypto) vs quadratic baseline", lambda, crypto),
 		"protocol", "n", "f", "λ", "trials", "classical msgs", "total MB (Def. 6)", "B/node", "multicasts", "rounds", "violations",
 	)
 	res.Sweep = harness.NewSweep("e13")
@@ -101,8 +105,8 @@ func E13ScalingLaw(o Opts, maxN int, crypto scenario.CryptoMode) (*E13Result, er
 			opts.Workers = 1
 		}
 		agg, err := harness.Collect(opts, func(tr harness.Trial) (*harness.Obs, error) {
-			// sc.Run, not o.run: the sparse path is delta-one by
-			// construction, so the global -net override does not apply.
+			// sc.Run, not o.run: the sweep is delta-one by construction,
+			// so the global -net override does not apply.
 			rep, err := sc.Run(tr.Seed, tr.Index)
 			if err != nil {
 				return nil, err
@@ -151,10 +155,10 @@ func E13ScalingLaw(o Opts, maxN int, crypto scenario.CryptoMode) (*E13Result, er
 		if crypto != scenario.Ideal {
 			key = fmt.Sprintf("core/%s/n=%d", crypto, n)
 		}
-		err := run("core (sparse engine)", key,
+		err := run("core", key,
 			E13Row{N: n, F: f, Lambda: lambda},
 			scenario.Scenario{Config: scenario.Config{
-				Protocol: scenario.Core, N: n, F: f, Lambda: lambda, Sparse: true, Crypto: crypto,
+				Protocol: scenario.Core, N: n, F: f, Lambda: lambda, Crypto: crypto, StepWorkers: workers,
 			}})
 		if err != nil {
 			return nil, err
@@ -168,14 +172,14 @@ func E13ScalingLaw(o Opts, maxN int, crypto scenario.CryptoMode) (*E13Result, er
 		err := run("quadratic (baseline)", fmt.Sprintf("quadratic/n=%d", n),
 			E13Row{N: n, F: f},
 			scenario.Scenario{Config: scenario.Config{
-				Protocol: scenario.Quadratic, N: n, F: f, MaxIters: 40, Sparse: true,
+				Protocol: scenario.Quadratic, N: n, F: f, MaxIters: 40, StepWorkers: workers,
 			}})
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	const coreLabel, quadLabel = "core (sparse engine)", "quadratic (baseline)"
+	const coreLabel, quadLabel = "core", "quadratic (baseline)"
 	res.CoreMsgFit = e13Fit(res.Rows, coreLabel, func(r E13Row) float64 { return r.TotalMsgs })
 	res.QuadMsgFit = e13Fit(res.Rows, quadLabel, func(r E13Row) float64 { return r.TotalMsgs })
 	res.CoreByteFit = e13Fit(res.Rows, coreLabel, func(r E13Row) float64 { return r.TotalBytes })

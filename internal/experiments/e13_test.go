@@ -8,8 +8,8 @@ import (
 	"ccba/internal/scenario"
 )
 
-// E13 at reduced scale (core up to n=10,000 — the CI smoke point — on the
-// sparse engine path) must already show the paper's separation: the
+// E13 at reduced scale (core up to n=10,000 — the CI smoke point) must
+// already show the paper's separation: the
 // quadratic baseline's classical message count fits ≈n², core's fits
 // strictly sub-quadratic, and per-node bytes stay ≈flat for core while
 // exploding for the baseline.
@@ -74,8 +74,8 @@ func TestE13Shape(t *testing.T) {
 }
 
 // TestE13RealCrypto pins the real-crypto column's wiring at the smallest
-// core point: the Appendix D compiler (Ed25519 VRF mining, lean verify
-// cache) runs violation-free on the sparse path and reports through the
+// core point: the Appendix D compiler (Ed25519 VRF mining, bounded verify
+// cache) runs violation-free and reports through the
 // same rows and table. The full n ≥ 10⁵ real sweep is the CLI/CI setting
 // (-e13-crypto real); its k≈1 fit rides on the same code path fitted here.
 func TestE13RealCrypto(t *testing.T) {

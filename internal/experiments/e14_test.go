@@ -43,8 +43,8 @@ func TestE13PlotBundle(t *testing.T) {
 	res := &E13Result{
 		Lambda: 40,
 		Rows: []E13Row{
-			{Protocol: "core (sparse engine)", N: 1000, TotalMsgs: 5e4, TotalBytes: 1e6},
-			{Protocol: "core (sparse engine)", N: 10000, TotalMsgs: 5e5, TotalBytes: 1e7},
+			{Protocol: "core", N: 1000, TotalMsgs: 5e4, TotalBytes: 1e6},
+			{Protocol: "core", N: 10000, TotalMsgs: 5e5, TotalBytes: 1e7},
 			{Protocol: "quadratic (baseline)", N: 101, TotalMsgs: 4e5, TotalBytes: 1e8},
 		},
 		CoreMsgFit: E13Fit{Exponent: 1.0, Coeff: 50, Points: 2},

@@ -1,11 +1,14 @@
 package fmine
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"ccba/internal/crypto/pki"
+	"ccba/internal/crypto/prf"
 	"ccba/internal/types"
+	"ccba/internal/wire"
 )
 
 func constProb(p float64) ProbFunc { return func(Tag) float64 { return p } }
@@ -254,5 +257,203 @@ func TestRealVerifierCache(t *testing.T) {
 	}
 	if v.Verify(tag(1, 1, types.Zero), 2, bad) {
 		t.Fatal("cached rejection flipped")
+	}
+}
+
+// figure1 is the F_mine functionality of Figure 1 exactly as written — the
+// oracle NewIdeal's success-only table is checked against. Every attempt's
+// coin is stored with its mined(m, i) flag, verify answers only for mined
+// coins below the difficulty, and each successful attempt returns a fresh
+// copy of the ticket.
+type figure1 struct {
+	prob   ProbFunc
+	hidden *prf.State
+	coins  map[coinKey]figure1Coin
+}
+
+type figure1Coin struct {
+	out   prf.Output
+	mined bool
+}
+
+func newFigure1(seed [32]byte, prob ProbFunc) *figure1 {
+	return &figure1{
+		prob:   prob,
+		hidden: prf.NewState(prf.DeriveKey(prf.Key(seed), "fmine/ideal")),
+		coins:  make(map[coinKey]figure1Coin),
+	}
+}
+
+func (f *figure1) mine(tag Tag, id types.NodeID) ([]byte, bool) {
+	key := coinKey{tag: tag.key(), id: id}
+	c, ok := f.coins[key]
+	if !ok {
+		w := wire.Writer{}
+		w.NodeID(id)
+		c.out = f.hidden.Eval(tag.AppendEncode(w.Buf))
+	}
+	c.mined = true
+	f.coins[key] = c
+	if !c.out.Below(f.prob(tag)) {
+		return nil, false
+	}
+	return bytes.Clone(c.out[:]), true
+}
+
+func (f *figure1) verify(tag Tag, id types.NodeID, proof []byte) bool {
+	c, ok := f.coins[coinKey{tag: tag.key(), id: id}]
+	return ok && c.mined && c.out.Below(f.prob(tag)) && bytes.Equal(proof, c.out[:])
+}
+
+type figure1Miner struct {
+	f  *figure1
+	id types.NodeID
+}
+
+func (m figure1Miner) Mine(tag Tag) ([]byte, bool) { return m.f.mine(tag, m.id) }
+func (m figure1Miner) ID() types.NodeID            { return m.id }
+
+type figure1Verifier struct{ f *figure1 }
+
+func (v figure1Verifier) Verify(tag Tag, id types.NodeID, proof []byte) bool {
+	return v.f.verify(tag, id, proof)
+}
+
+func (f *figure1) Miner(id types.NodeID) Miner { return figure1Miner{f: f, id: id} }
+func (f *figure1) Verifier() Verifier          { return figure1Verifier{f: f} }
+
+// NewIdeal's success-only coin table must be observationally equivalent to
+// the full Figure 1 table: identical Mine results (including repeats of failed
+// attempts) and identical Verify answers for genuine tickets, failed
+// attempts, unmined coins, and forged proof bytes.
+func TestIdealLeanEquivalence(t *testing.T) {
+	prob := func(tag Tag) float64 {
+		// A mix of difficulties so the corpus has successes and failures.
+		switch tag.Type {
+		case 1:
+			return 0.5
+		case 2:
+			return 0.05
+		default:
+			return 0
+		}
+	}
+	seed := [32]byte{9}
+	full := newFigure1(seed, prob)
+	lean := NewIdeal(seed, prob)
+
+	var tags []Tag
+	for _, typ := range []uint8{1, 2, 3} {
+		for iter := uint32(1); iter <= 4; iter++ {
+			for _, b := range []types.Bit{types.Zero, types.One} {
+				tags = append(tags, Tag{Domain: "lean-test", Type: typ, Iter: iter, Bit: b})
+			}
+		}
+	}
+
+	const n = 32
+	type mined struct {
+		tag   Tag
+		id    types.NodeID
+		proof []byte
+	}
+	var successes []mined
+	for id := types.NodeID(0); id < n; id++ {
+		fm, lm := full.Miner(id), lean.Miner(id)
+		for _, tag := range tags {
+			// Mine twice: the memoised repeat must answer identically too.
+			for rep := 0; rep < 2; rep++ {
+				fp, fok := fm.Mine(tag)
+				lp, lok := lm.Mine(tag)
+				if fok != lok || string(fp) != string(lp) {
+					t.Fatalf("Mine(%v, %d) rep %d: full (%x, %v) vs lean (%x, %v)", tag, id, rep, fp, fok, lp, lok)
+				}
+				if fok && rep == 0 {
+					successes = append(successes, mined{tag: tag, id: id, proof: fp})
+				}
+			}
+		}
+	}
+	if len(successes) == 0 {
+		t.Fatal("corpus produced no successful tickets; raise the difficulty schedule")
+	}
+
+	fv, lv := full.Verifier(), lean.Verifier()
+	for id := types.NodeID(0); id < n; id++ {
+		for _, tag := range tags {
+			// Probe with every successful proof (right and wrong owners),
+			// plus garbage bytes.
+			for _, m := range successes[:min(len(successes), 8)] {
+				if got, want := lv.Verify(tag, id, m.proof), fv.Verify(tag, id, m.proof); got != want {
+					t.Fatalf("Verify(%v, %d, proof-of-%d/%v): lean %v, full %v", tag, id, m.id, m.tag, got, want)
+				}
+			}
+			junk := []byte("definitely-not-a-coin")
+			if got, want := lv.Verify(tag, id, junk), fv.Verify(tag, id, junk); got != want {
+				t.Fatalf("Verify(%v, %d, junk): lean %v, full %v", tag, id, got, want)
+			}
+		}
+	}
+
+	// Unmined coins verify false on both, even for would-be successes.
+	fresh := Tag{Domain: "lean-test", Type: 1, Iter: 99, Bit: types.One}
+	for id := types.NodeID(0); id < n; id++ {
+		if fv.Verify(fresh, id, nil) || lv.Verify(fresh, id, nil) {
+			t.Fatalf("unmined tag verified true for node %d", id)
+		}
+	}
+
+	// The lean table must actually be lean: entries only for successes.
+	fullEntries, leanEntries := len(full.coins), len(lean.coins)
+	if leanEntries >= fullEntries {
+		t.Errorf("lean table has %d entries, full has %d; lean should be strictly smaller on this corpus", leanEntries, fullEntries)
+	}
+	if leanEntries != len(successes) {
+		t.Errorf("lean table has %d entries, want one per successful attempt (%d)", leanEntries, len(successes))
+	}
+}
+
+// TestIdealLeanInternsProofs pins the coin table's ticket interning: a
+// repeated successful attempt on the same (tag, id) key returns the one
+// slice stored in the entry — same backing array, zero allocation — while
+// the full Figure 1 table returns fresh copies. Verification of the
+// interned ticket must agree with the full table's answer.
+func TestIdealLeanInternsProofs(t *testing.T) {
+	prob := func(Tag) float64 { return 1 } // every attempt succeeds
+	seed := [32]byte{7}
+	full := newFigure1(seed, prob)
+	lean := NewIdeal(seed, prob)
+	tag := Tag{Domain: "intern-test", Type: 1, Iter: 3, Bit: types.One}
+
+	const n = 8
+	for id := types.NodeID(0); id < n; id++ {
+		lm, fm := lean.Miner(id), full.Miner(id)
+		p1, ok1 := lm.Mine(tag)
+		p2, ok2 := lm.Mine(tag)
+		if !ok1 || !ok2 {
+			t.Fatalf("id %d: attempts at p=1 failed (%v, %v)", id, ok1, ok2)
+		}
+		if &p1[0] != &p2[0] {
+			t.Errorf("id %d: repeat attempt returned a fresh copy, want the interned slice", id)
+		}
+		fp1, _ := fm.Mine(tag)
+		fp2, _ := fm.Mine(tag)
+		if string(fp1) != string(p1) {
+			t.Errorf("id %d: interned proof %x, full-table proof %x", id, p1, fp1)
+		}
+		if &fp1[0] == &fp2[0] {
+			t.Errorf("id %d: full table interned a proof; Figure 1 behaviour is a fresh copy", id)
+		}
+		if !lean.Verifier().Verify(tag, id, p1) || !full.Verifier().Verify(tag, id, p1) {
+			t.Errorf("id %d: interned proof rejected", id)
+		}
+	}
+
+	// The memoised repeat must be allocation-free: the whole point of
+	// interning is that committee members re-attempting their round tags
+	// stop costing one proof allocation per attempt.
+	m := lean.Miner(0)
+	if avg := testing.AllocsPerRun(100, func() { m.Mine(tag) }); avg > 0 {
+		t.Errorf("repeat lean Mine allocates %.1f times per call, want 0", avg)
 	}
 }

@@ -5,41 +5,51 @@ import (
 	"testing"
 
 	"ccba/internal/crypto/pki"
+	"ccba/internal/crypto/vrf"
 	"ccba/internal/types"
 )
 
-// The batch mine/verify entry points and the lean verify cache must be
-// observationally equivalent to the scalar NewReal path: identical proofs,
-// identical success flags, identical verify answers for genuine tickets,
-// wrong-owner claims, and forged bytes — with the lean cache additionally
+// The batch mine/verify entry points must be observationally equivalent to
+// the scalar path, and every verify answer — scalar or batch, cache hit,
+// known forgery or evicted entry — must equal an uncached vrf.Verify of the
+// same claim: identical proofs, identical success flags, identical answers
+// for genuine tickets, wrong-owner claims, and forged bytes, with the cache
 // staying bounded by the iteration window.
 
-func realPair(t *testing.T, n int) (*Real, *Real) {
+// realProb is the difficulty every suite in this file mines under.
+func realProb(Tag) float64 { return 0.5 }
+
+func newRealSuite(t *testing.T, n int) (*Real, *pki.Public) {
 	t.Helper()
 	pub, secrets := pki.Setup(n, [32]byte{42})
-	prob := func(Tag) float64 { return 0.5 }
-	return NewReal(pub, secrets, prob), NewRealLean(pub, secrets, prob)
+	return NewReal(pub, secrets, realProb), pub
+}
+
+// uncachedVerify is the verify answer with no memo at all: one full VRF
+// verification of the claim against the owner's public key.
+func uncachedVerify(pub *pki.Public, tag Tag, id types.NodeID, proof []byte) bool {
+	pk := pub.VRFKey(id)
+	if pk == nil {
+		return false
+	}
+	out, ok := vrf.Verify(pk, tag.Encode(), proof)
+	return ok && out.Below(realProb(tag))
 }
 
 func TestRealMineBatchMatchesScalar(t *testing.T) {
 	const n = 24
-	full, lean := realPair(t, n)
+	r, _ := newRealSuite(t, n)
 	ids := make([]types.NodeID, n)
 	for i := range ids {
 		ids[i] = types.NodeID(i)
 	}
 	for iter := uint32(1); iter <= 3; iter++ {
 		tag := Tag{Domain: "batch-test", Type: 1, Iter: iter, Bit: types.One}
-		proofs, oks := full.MineBatch(tag, ids)
-		leanProofs, leanOks := lean.MineBatch(tag, ids)
+		proofs, oks := r.MineBatch(tag, ids)
 		for i, id := range ids {
-			p, ok := full.Miner(id).Mine(tag)
+			p, ok := r.Miner(id).Mine(tag)
 			if ok != oks[i] || !bytes.Equal(p, proofs[i]) {
 				t.Fatalf("iter %d id %d: batch (%x, %v), scalar (%x, %v)", iter, id, proofs[i], oks[i], p, ok)
-			}
-			if oks[i] != leanOks[i] || !bytes.Equal(proofs[i], leanProofs[i]) {
-				t.Fatalf("iter %d id %d: full batch (%x, %v), lean batch (%x, %v)",
-					iter, id, proofs[i], oks[i], leanProofs[i], leanOks[i])
 			}
 		}
 	}
@@ -47,13 +57,13 @@ func TestRealMineBatchMatchesScalar(t *testing.T) {
 
 func TestRealVerifyBatchMatchesScalar(t *testing.T) {
 	const n = 24
-	full, lean := realPair(t, n)
 	ids := make([]types.NodeID, n)
 	for i := range ids {
 		ids[i] = types.NodeID(i)
 	}
 	tag := Tag{Domain: "batch-test", Type: 1, Iter: 1, Bit: types.Zero}
-	proofs, oks := full.MineBatch(tag, ids)
+	miner, pub := newRealSuite(t, n)
+	proofs, oks := miner.MineBatch(tag, ids)
 
 	// Build a hostile claim set: genuine tickets, failed attempts' nil
 	// proofs, wrong-owner proofs, and forged bytes.
@@ -78,32 +88,32 @@ func TestRealVerifyBatchMatchesScalar(t *testing.T) {
 	claimIDs = append(claimIDs, types.NodeID(firstWin))
 	claimProofs = append(claimProofs, forged)
 
-	for name, r := range map[string]*Real{"full": full, "lean": lean} {
-		got := r.VerifyBatch(tag, claimIDs, claimProofs)
-		v := r.Verifier()
-		for i := range claimIDs {
-			if want := v.Verify(tag, claimIDs[i], claimProofs[i]); got[i] != want {
-				t.Fatalf("%s claim %d (id %d): batch %v, scalar %v", name, i, claimIDs[i], got[i], want)
-			}
+	// Batch first on a fresh suite (it populates the cache), then scalar
+	// on another fresh suite (its own population order), then the batch
+	// again: every answer, hit or miss, must equal the uncached oracle.
+	batched, _ := newRealSuite(t, n)
+	scalar, _ := newRealSuite(t, n)
+	got := batched.VerifyBatch(tag, claimIDs, claimProofs)
+	again := batched.VerifyBatch(tag, claimIDs, claimProofs)
+	v := scalar.Verifier()
+	for i := range claimIDs {
+		want := uncachedVerify(pub, tag, claimIDs[i], claimProofs[i])
+		if got[i] != want || again[i] != want {
+			t.Fatalf("claim %d (id %d): batch %v, cached batch %v, uncached %v", i, claimIDs[i], got[i], again[i], want)
 		}
-		// Repeat the batch: now every answer is a cache or bad-table hit
-		// and must not change.
-		again := r.VerifyBatch(tag, claimIDs, claimProofs)
-		for i := range got {
-			if got[i] != again[i] {
-				t.Fatalf("%s claim %d: first batch %v, cached batch %v", name, i, got[i], again[i])
-			}
+		if s := v.Verify(tag, claimIDs[i], claimProofs[i]); s != want {
+			t.Fatalf("claim %d (id %d): scalar %v, uncached %v", i, claimIDs[i], s, want)
 		}
 	}
 }
 
-// TestRealLeanCacheBounded pins the lean eviction policy: entries older
+// TestRealLeanCacheBounded pins the cache's eviction policy: entries older
 // than the iteration window are dropped, iteration-0 entries survive the
-// whole run, and evicted tickets still verify true (re-verification, not
-// data loss).
+// whole run, and every answer — cached or evicted — equals an uncached
+// verification (re-verification, not data loss).
 func TestRealLeanCacheBounded(t *testing.T) {
 	const n = 16
-	_, lean := realPair(t, n)
+	lean, pub := newRealSuite(t, n)
 	ids := make([]types.NodeID, n)
 	for i := range ids {
 		ids[i] = types.NodeID(i)
@@ -130,7 +140,7 @@ func TestRealLeanCacheBounded(t *testing.T) {
 
 	// Bounded: at most the window's worth of per-iteration entries plus
 	// the immortal iteration-0 ones.
-	if got, max := lean.CacheLen(), termCached+leanWindow*n; got > max {
+	if got, max := lean.CacheLen(), termCached+cacheWindow*n; got > max {
 		t.Fatalf("lean cache has %d entries after %d iterations, want ≤ %d", got, iters, max)
 	}
 
@@ -141,15 +151,20 @@ func TestRealLeanCacheBounded(t *testing.T) {
 			t.Fatalf("iter-0 id %d: verify %v, want %v", i, got, ok)
 		}
 	}
-	// Evicted early-iteration tickets re-verify true: eviction must not
-	// change answers.
-	earlyTag := Tag{Domain: "lean-bound", Type: 1, Iter: 1, Bit: types.One}
-	for i, proof := range perIter[1] {
-		if proof == nil {
-			continue
-		}
-		if !v.Verify(earlyTag, ids[i], proof) {
-			t.Fatalf("evicted ticket of id %d no longer verifies", i)
+	// Evicted early-iteration tickets and still-cached late ones answer
+	// exactly as an uncached verification does — for the owner and for a
+	// wrong-owner claim alike.
+	for _, iter := range []uint32{1, iters} {
+		tag := Tag{Domain: "lean-bound", Type: 1, Iter: iter, Bit: types.One}
+		for i, proof := range perIter[iter] {
+			if proof == nil {
+				continue
+			}
+			for _, id := range []types.NodeID{ids[i], ids[(i+1)%n]} {
+				if got, want := v.Verify(tag, id, proof), uncachedVerify(pub, tag, id, proof); got != want {
+					t.Fatalf("iter %d: ticket of id %d claimed by %d: verify %v, uncached %v", iter, i, id, got, want)
+				}
+			}
 		}
 	}
 }

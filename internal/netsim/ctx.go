@@ -66,7 +66,8 @@ func (c *Ctx) Inbox(id types.NodeID) ([]Delivered, error) {
 	if c.rt.status[id] != types.Corrupt {
 		return nil, fmt.Errorf("%w: inbox of honest node %d", ErrNotCorrupt, id)
 	}
-	return c.rt.inboxes[id], nil
+	var scratch []Delivered
+	return c.rt.inbox(id, &scratch), nil
 }
 
 // Corrupt adaptively corrupts node id, handing over its state machine and

@@ -34,11 +34,13 @@
 //     machine and secret keys to the adversary and stops the Runtime from
 //     stepping it.
 //
-// For executions with hundreds of thousands of nodes, Config.Sparse selects
-// the memory-lean large-N delivery path: per-round state sized by actual
-// traffic instead of O(n) per-node buffers, restricted to lockstep ∆ = 1
-// with a passive adversary and observationally equivalent to the dense
-// engine there (DESIGN.md §6).
+// There is one round loop. Its per-round state is sized by the traffic
+// actually sent — one shared multicast list plus the few unicast extras —
+// not by n, so executions with hundreds of thousands of nodes fit in
+// memory; the adversary's envelope window and the Δ-scheduling ring are
+// layers on it, built only when the adversary is not passive or the
+// network model is not DeltaOne. Config.StepWorkers shards node stepping
+// across a worker pool with byte-identical results (DESIGN.md §6).
 //
 // Architecture: DESIGN.md §2 — synchronous round runtime and network models.
 package netsim

@@ -88,15 +88,15 @@ func TestRunPassive(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	input := func(i int) types.Bit { return types.BitFromBool(i%3 == 0) }
-	run := func(parallel bool) *Result {
+	run := func(workers int) *Result {
 		nodes := echoNodes(9, 3, input)
-		rt, err := NewRuntime(Config{N: 9, F: 0, MaxRounds: 20, Parallel: parallel}, nodes, nil)
+		rt, err := NewRuntime(Config{N: 9, F: 0, MaxRounds: 20, StepWorkers: workers}, nodes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rt.Run()
 	}
-	seq, par := run(false), run(true)
+	seq, par := run(1), run(4)
 	for i := range seq.Outputs {
 		if seq.Outputs[i] != par.Outputs[i] {
 			t.Fatalf("node %d: sequential %v vs parallel %v", i, seq.Outputs[i], par.Outputs[i])

@@ -3,7 +3,6 @@ package netsim
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"ccba/internal/harness"
 	"ccba/internal/obs"
@@ -26,91 +25,75 @@ type Config struct {
 	// Net is the message-scheduling model (nil = DeltaOne lockstep). See
 	// NetModel for the delivery-bound and power-enforcement contract.
 	Net NetModel
-	// Parallel steps honest nodes on a persistent worker pool within each
-	// round. Protocol state machines are independent, so this is safe; it
-	// trades determinism of memory-allocation patterns, not of results.
-	Parallel bool
-	// Sparse selects the memory-lean large-N engine path (DESIGN.md §6):
-	// per-round state is sized by actual traffic — the shared multicast
-	// list plus the few unicast extras — instead of O(n) per-node buffers,
-	// so executions with hundreds of thousands of nodes fit comfortably in
-	// memory. Restricted to the delta-one lockstep model with a passive
-	// adversary; NewRuntime rejects anything else. On the configurations
-	// it accepts the path is observationally equivalent to the dense
-	// engine (same deliveries, metrics, rounds, outputs).
-	Sparse bool
-	// SparseWorkers shards sparse-path node stepping across a bounded
-	// worker pool: node IDs are split into contiguous shards, stepped
-	// concurrently, and the per-shard send lists merged back into
-	// canonical envelope order, so results are byte-identical for every
-	// worker count. 0 defaults to GOMAXPROCS; 1 steps serially. Only valid
-	// with Sparse (the dense engine has Parallel).
-	SparseWorkers int
+	// StepWorkers shards node stepping within each round (DESIGN.md §6):
+	// node IDs are split into StepWorkers contiguous ranges, stepped
+	// concurrently on a worker pool, and their sends merged back in node-id
+	// order, so results and traces are byte-identical for every count. 0 or
+	// 1 steps serially; counts above N are clamped to N.
+	StepWorkers int
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10):
 	// round starts, deliveries and sends with their Definitions 6–7 sizes,
 	// decide/halt transitions, watermark marks, and injected link faults.
 	// Trace content is a pure function of (config, seed) — identical for
-	// serial, Parallel, and every SparseWorkers count. Nil disables
-	// tracing; the engines then allocate no trace state and the hot paths
-	// pay one predictable branch per round section. Implementations must
-	// accept concurrent Emit calls (the sparse shards emit in parallel).
+	// every StepWorkers count. Nil disables tracing; the engine then
+	// allocates no trace state and the hot paths pay one predictable branch
+	// per node. Implementations must accept concurrent Emit calls (shards
+	// emit in parallel).
 	Tracer obs.Tracer
 }
 
 // Runtime executes one protocol instance under one adversary.
 //
-// The round engine is allocation-free in steady state: envelopes live in a
-// round-scoped slab, the multicast fan-out is a single per-round list shared
-// by every recipient's inbox, and all per-round buffers are reused across
-// rounds. Consequently envelopes and inbox slices are only valid during the
-// round they belong to — adversaries and nodes must not retain them across
-// rounds (no strategy in this repository does).
+// There is one round loop (round.go). Its per-round state is sized by
+// traffic, not by n: one shared multicast list every inbox aliases plus a
+// map of the few recipients with unicast extras. Two layers sit on it and
+// are built only when needed: the adversary's envelope window (any
+// adversary other than Passive, or any network model other than DeltaOne)
+// and the Δ-scheduling ring (network models other than DeltaOne).
+// Envelopes and inbox slices are only valid during the round they belong
+// to — adversaries and nodes must not retain them across rounds (no
+// strategy in this repository does).
 type Runtime struct {
-	cfg       Config
-	nodes     []Node
+	cfg     Config
+	nodes   []Node
+	adv     Adversary
+	metrics Metrics
+
+	net    NetModel
+	faulty []bool // omission-faulty senders declared by the model, nil if none
+
+	// status and corruptAt exist exactly when the envelope window does
+	// (any adversary other than Passive, or any network model other than
+	// DeltaOne); without it every node is forever honest.
 	status    []types.Status
 	corruptAt []int // round at which the node was corrupted, -1 if honest
-	adv       Adversary
-	metrics   Metrics
 
-	net      NetModel
-	lockstep bool   // net is the DeltaOne model: take the zero-alloc fast path
-	faulty   []bool // omission-faulty senders declared by the model, nil if none
+	// cur holds the deliveries of the round being stepped, next accumulates
+	// the round's sends for delivery at round+1 (lockstep only).
+	cur, next deliveries
 
-	inboxes [][]Delivered // per-node view of the current round's deliveries
+	shards   []shard
+	pool     *harness.Pool
+	curRound int // round currently being stepped, read by pool workers
 
-	// Round-scoped buffers, reused across rounds.
-	sends   [][]Send      // per-node sends produced this round
-	envSlab []Envelope    // backing storage for this round's envelopes
-	envs    []*Envelope   // the adversary-visible envelope list
-	shared  []Delivered   // multicast deliveries common to every inbox
-	extras  []extraList   // per-recipient deliveries interleaved into shared
-	merged  [][]Delivered // per-node merge buffers, only for nodes with extras
+	// Envelope window (status != nil): the adversary-visible view of the
+	// round's sends, backed by a round-scoped slab.
+	envSlab []Envelope
+	envs    []*Envelope
 
-	// Scheduled-delivery state (non-lockstep models): a ring of ∆+1 future
-	// rounds, each holding per-node delivery lists reused across laps.
-	buckets [][][]Delivered
+	// Δ-scheduling ring (non-nil unless the model is DeltaOne): Δ+1
+	// future rounds of per-node delivery lists, reused across laps.
+	ring [][][]Delivered
 
-	// sparse is the traffic-sized delivery engine of the large-N path
-	// (non-nil when Config.Sparse); when set, none of the per-node buffer
-	// arrays above are allocated.
-	sparse *sparseState
-
-	// Trace state, allocated only when Config.Tracer is set, so the
-	// traced-off engine keeps its exact allocation profile. trStepped
-	// records which nodes the current round stepped (the post-step
-	// emission loop runs after Halted may have flipped); trDecided
-	// deduplicates EvDecide to the transition round; faultSeq counts
-	// injected faults per sender within the current round (general path
-	// only). faultKind is the network model's optional drop classifier.
+	// Trace state, allocated only when Config.Tracer is set. trDecided
+	// deduplicates EvDecide to the transition round (each entry is touched
+	// only by the shard owning the node); faultSeq counts injected faults
+	// per sender within the current round; faultKind is the network
+	// model's optional drop classifier.
 	tr        obs.Sink
-	trStepped []bool
 	trDecided []bool
 	faultSeq  map[types.NodeID]uint32
 	faultKind faultKinder
-
-	pool     *harness.Pool
-	curRound int // round currently being stepped, read by pool workers
 }
 
 // faultKinder is an optional NetModel extension: a model that can drop for
@@ -120,16 +103,6 @@ type Runtime struct {
 type faultKinder interface {
 	DropKind(round int, from types.NodeID) obs.FaultKind
 }
-
-// extraEntry is a delivery that applies to a single recipient: a unicast, or
-// a multicast erased for some recipients. at is the number of shared
-// deliveries preceding it, so merging reproduces exact envelope order.
-type extraEntry struct {
-	at int
-	d  Delivered
-}
-
-type extraList []extraEntry
 
 // NewRuntime builds a runtime over n constructed nodes.
 func NewRuntime(cfg Config, nodes []Node, adv Adversary) (*Runtime, error) {
@@ -141,6 +114,9 @@ func NewRuntime(cfg Config, nodes []Node, adv Adversary) (*Runtime, error) {
 	}
 	if cfg.F < 0 || cfg.F >= cfg.N {
 		return nil, fmt.Errorf("netsim: corruption budget f=%d out of range for n=%d", cfg.F, cfg.N)
+	}
+	if cfg.StepWorkers < 0 {
+		return nil, fmt.Errorf("netsim: StepWorkers=%d cannot be negative", cfg.StepWorkers)
 	}
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 10_000
@@ -156,53 +132,33 @@ func NewRuntime(cfg Config, nodes []Node, adv Adversary) (*Runtime, error) {
 		return nil, err
 	}
 	_, lockstep := cfg.Net.(deltaOne)
+	_, passive := adv.(Passive)
 	rt := &Runtime{
-		cfg:      cfg,
-		nodes:    nodes,
-		adv:      adv,
-		net:      cfg.Net,
-		lockstep: lockstep,
-		faulty:   faulty,
-		tr:       obs.NewSink(cfg.Tracer),
+		cfg:    cfg,
+		nodes:  nodes,
+		adv:    adv,
+		net:    cfg.Net,
+		faulty: faulty,
+		cur:    newDeliveries(),
+		next:   newDeliveries(),
+		shards: newShards(cfg.N, cfg.StepWorkers),
+		tr:     obs.NewSink(cfg.Tracer),
 	}
-	if cfg.SparseWorkers < 0 {
-		return nil, fmt.Errorf("netsim: SparseWorkers=%d cannot be negative", cfg.SparseWorkers)
+	if !passive || !lockstep {
+		rt.status = make([]types.Status, cfg.N)
+		rt.corruptAt = make([]int, cfg.N)
+		for i := range rt.status {
+			rt.status[i] = types.Honest
+			rt.corruptAt[i] = -1
+		}
 	}
-	if cfg.Sparse {
-		if !lockstep {
-			return nil, ErrSparseNet
+	if !lockstep {
+		rt.ring = make([][][]Delivered, cfg.Net.Delta()+1)
+		for i := range rt.ring {
+			rt.ring[i] = make([][]Delivered, cfg.N)
 		}
-		if _, passive := adv.(Passive); !passive {
-			return nil, ErrSparseAdversary
-		}
-		if cfg.Parallel {
-			return nil, ErrSparseParallel
-		}
-		// No per-node buffers, no status/corruption bookkeeping: the
-		// passive-only contract means every node is forever honest. The
-		// decide-transition bitmap is tracing's one O(n) exception, paid
-		// only when a tracer is attached.
-		rt.sparse = newSparseState(cfg.N, cfg.SparseWorkers)
-		if cfg.Tracer != nil {
-			rt.trDecided = make([]bool, cfg.N)
-		}
-		return rt, nil
-	}
-	if cfg.SparseWorkers != 0 {
-		return nil, ErrSparseWorkers
-	}
-	rt.status = make([]types.Status, cfg.N)
-	rt.corruptAt = make([]int, cfg.N)
-	rt.inboxes = make([][]Delivered, cfg.N)
-	rt.sends = make([][]Send, cfg.N)
-	rt.extras = make([]extraList, cfg.N)
-	rt.merged = make([][]Delivered, cfg.N)
-	for i := range rt.status {
-		rt.status[i] = types.Honest
-		rt.corruptAt[i] = -1
 	}
 	if cfg.Tracer != nil {
-		rt.trStepped = make([]bool, cfg.N)
 		rt.trDecided = make([]bool, cfg.N)
 		if !lockstep {
 			rt.faultSeq = make(map[types.NodeID]uint32)
@@ -230,20 +186,30 @@ type Result struct {
 	// Rounds is the number of rounds executed.
 	Rounds  int
 	Metrics Metrics
-	// Sparse carries the large-N path's online telemetry; nil on the dense
-	// engine, so dense results are byte-for-byte what they always were.
-	Sparse *SparseStats
 }
 
 // ForeverHonest returns the IDs of nodes that were never corrupted.
 func (r *Result) ForeverHonest() []types.NodeID {
 	out := make([]types.NodeID, 0, len(r.Corrupt))
+	r.EachForeverHonest(func(id types.NodeID) bool {
+		out = append(out, id)
+		return true
+	})
+	return out
+}
+
+// EachForeverHonest calls fn for every forever-honest node in id order,
+// stopping early when fn returns false. It is the allocation-free
+// counterpart of ForeverHonest().
+func (r *Result) EachForeverHonest(fn func(id types.NodeID) bool) {
 	for i, c := range r.Corrupt {
-		if !c {
-			out = append(out, types.NodeID(i))
+		if c {
+			continue
+		}
+		if !fn(types.NodeID(i)) {
+			return
 		}
 	}
-	return out
 }
 
 // NumCorrupt returns the number of eventually-corrupt nodes.
@@ -269,19 +235,12 @@ func (rt *Runtime) Run() *Result {
 // granularity keeps the hot path untouched — a round is the natural
 // preemption point of a lockstep engine.
 func (rt *Runtime) RunCtx(ctx context.Context) (*Result, error) {
-	if rt.sparse == nil {
-		// The sparse path skips the setup window: its adversary is
-		// validated passive, and a Ctx needs the status bookkeeping the
-		// sparse runtime never allocates.
-		setupCtx := rt.newCtx(-1, nil)
-		rt.adv.Setup(setupCtx)
+	if rt.status != nil {
+		// Without the window the adversary is Passive: nothing to set up.
+		rt.adv.Setup(rt.newCtx(-1, nil))
 	}
-
-	if rt.cfg.Parallel {
-		rt.pool = harness.NewPool(runtime.GOMAXPROCS(0), rt.stepOne)
-		defer rt.pool.Close()
-	} else if rt.sparse != nil && rt.sparse.workers > 1 {
-		rt.pool = harness.NewPool(rt.sparse.workers, rt.stepSparseShard)
+	if len(rt.shards) > 1 {
+		rt.pool = harness.NewPool(len(rt.shards), rt.stepShard)
 		defer rt.pool.Close()
 	}
 
@@ -296,344 +255,6 @@ func (rt *Runtime) RunCtx(ctx context.Context) (*Result, error) {
 		}
 	}
 	return rt.collect(round), nil
-}
-
-// stepOne advances node i in the current round; it is the worker-pool task
-// body.
-func (rt *Runtime) stepOne(i int) {
-	rt.sends[i] = rt.nodes[i].Step(rt.curRound, rt.inboxes[i])
-}
-
-// stepRound executes one round; it returns true when all so-far-honest
-// nodes have halted.
-func (rt *Runtime) stepRound(round int) (done bool) {
-	if rt.sparse != nil {
-		return rt.sparseStepRound(round)
-	}
-	n := rt.cfg.N
-
-	// Trace: round starts and inbox reads for every node about to step,
-	// emitted serially before the (possibly parallel) stepping so the
-	// stream never depends on pool scheduling. trStepped snapshots the
-	// stepped set for the post-step loop below, which runs after Halted
-	// may have flipped.
-	if rt.tr.Enabled() {
-		if rt.faultSeq != nil {
-			clear(rt.faultSeq)
-		}
-		for i := 0; i < n; i++ {
-			if rt.status[i] != types.Honest || rt.nodes[i].Halted() {
-				continue
-			}
-			rt.trStepped[i] = true
-			rt.tr.RoundStart(round, types.NodeID(i))
-			for di, d := range rt.inboxes[i] {
-				rt.tr.Deliver(round, types.NodeID(i), di, d.From, wire.Size(d.Msg))
-			}
-		}
-	}
-
-	// 1. So-far-honest, non-halted nodes produce their sends for this round.
-	clear(rt.sends)
-	rt.curRound = round
-	if rt.pool != nil {
-		for i := 0; i < n; i++ {
-			if rt.status[i] != types.Honest || rt.nodes[i].Halted() {
-				continue
-			}
-			rt.pool.Do(i)
-		}
-		rt.pool.Wait()
-	} else {
-		for i := 0; i < n; i++ {
-			if rt.status[i] != types.Honest || rt.nodes[i].Halted() {
-				continue
-			}
-			rt.stepOne(i)
-		}
-	}
-
-	// Trace: sends and decide/halt transitions of the stepped nodes. A
-	// node stepped this round was live at its top, so a Halted report now
-	// is the transition round — emitted exactly once.
-	if rt.tr.Enabled() {
-		for i := 0; i < n; i++ {
-			if !rt.trStepped[i] {
-				continue
-			}
-			rt.trStepped[i] = false
-			for si, s := range rt.sends[i] {
-				rt.tr.Send(round, types.NodeID(i), si, s.To, wire.Size(s.Msg))
-			}
-			if !rt.trDecided[i] {
-				if bit, ok := rt.nodes[i].Output(); ok {
-					rt.tr.Decide(round, types.NodeID(i), bit)
-					rt.trDecided[i] = true
-				}
-			}
-			if rt.nodes[i].Halted() {
-				rt.tr.Halt(round, types.NodeID(i))
-			}
-		}
-	}
-
-	// 2. Wrap sends into envelopes the adversary can observe. Envelopes are
-	// allocated from a slab sized to this round's sends; individual heap
-	// envelopes exist only for adversarial injections.
-	total := 0
-	for i := 0; i < n; i++ {
-		total += len(rt.sends[i])
-	}
-	slab := rt.envSlab[:0]
-	if cap(slab) < total {
-		slab = make([]Envelope, 0, total+total/2)
-	}
-	for i := 0; i < n; i++ {
-		for _, s := range rt.sends[i] {
-			slab = append(slab, Envelope{
-				From:       types.NodeID(i),
-				To:         s.To,
-				Msg:        s.Msg,
-				size:       wire.Size(s.Msg),
-				honestSend: true,
-			})
-		}
-	}
-	rt.envSlab = slab
-	envs := rt.envs[:0]
-	for i := range slab {
-		envs = append(envs, &slab[i])
-	}
-
-	// 3. Adversary window: observe, corrupt, remove (power permitting),
-	// inject. Inboxes of already-corrupt nodes are visible to it.
-	ctx := rt.newCtx(round, envs)
-	rt.adv.Round(ctx)
-	envs = ctx.envelopes()
-	rt.envs = envs
-
-	// 4. Account communication complexity for messages sent by nodes that
-	// were so-far-honest at send time (Definitions 6 and 7). A message
-	// erased by after-the-fact removal was still *sent* by an honest node
-	// and is counted.
-	for _, e := range envs {
-		if !e.honestSend {
-			continue
-		}
-		rt.metrics.CountSend(e.To, n, e.size)
-	}
-
-	// 5. Deliver: multicasts reach every node (including the sender, so
-	// quorum counting treats one's own vote uniformly); unicasts reach their
-	// destination. Removed envelopes vanish.
-	//
-	// Under a non-lockstep network model, every surviving (envelope,
-	// recipient) link is scheduled into a future round instead.
-	if rt.lockstep {
-		rt.lockstepDeliveries(envs)
-	} else {
-		rt.scheduleDeliveries(round, envs)
-	}
-
-	// Trace: watermark advance. The simulator's round boundary is the
-	// deterministic counterpart of the live cluster's completed all-ack
-	// barrier, where every node's acked watermark provably reaches
-	// round+1 — so both runtimes emit one EvMark per node per round.
-	if rt.tr.Enabled() {
-		for i := 0; i < n; i++ {
-			rt.tr.Mark(round, types.NodeID(i), round+1)
-		}
-	}
-
-	// 6. Done when every so-far-honest node has halted.
-	done = true
-	for i := 0; i < n; i++ {
-		if rt.status[i] == types.Honest && !rt.nodes[i].Halted() {
-			done = false
-			break
-		}
-	}
-	return done
-}
-
-// lockstepDeliveries is the ∆ = 1 fast path: everything sent this round is
-// delivered at the beginning of the next.
-//
-// A multicast with no per-recipient removals is appended once to the shared
-// list every inbox aliases, instead of copied into each of the n inboxes.
-// Unicasts — and the rare multicast a strongly adaptive adversary erased for
-// specific recipients — become per-recipient extras, tagged with their
-// position so the merge below reproduces the exact delivery order of the
-// envelope list.
-func (rt *Runtime) lockstepDeliveries(envs []*Envelope) {
-	n := rt.cfg.N
-	shared := rt.shared[:0]
-	for i := range rt.extras {
-		rt.extras[i] = rt.extras[i][:0]
-	}
-	for _, e := range envs {
-		if e.removed {
-			continue
-		}
-		d := Delivered{From: e.From, Msg: e.Msg}
-		if e.To == types.Broadcast {
-			if len(e.removedFor) == 0 {
-				shared = append(shared, d)
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if !e.RemovedFor(types.NodeID(j)) {
-					rt.extras[j] = append(rt.extras[j], extraEntry{at: len(shared), d: d})
-				}
-			}
-		} else if int(e.To) >= 0 && int(e.To) < n {
-			if !e.RemovedFor(e.To) {
-				rt.extras[e.To] = append(rt.extras[e.To], extraEntry{at: len(shared), d: d})
-			}
-		}
-	}
-	rt.shared = shared
-	for j := 0; j < n; j++ {
-		ex := rt.extras[j]
-		if len(ex) == 0 {
-			rt.inboxes[j] = shared
-			continue
-		}
-		buf := rt.merged[j][:0]
-		si := 0
-		for _, en := range ex {
-			buf = append(buf, shared[si:en.at]...)
-			si = en.at
-			buf = append(buf, en.d)
-		}
-		buf = append(buf, shared[si:]...)
-		rt.merged[j] = buf
-		rt.inboxes[j] = buf
-	}
-}
-
-// scheduleDeliveries is the general path: each surviving (envelope,
-// recipient) link is put to the network model, power-checked, and appended
-// to the delivery bucket of its assigned round. Buckets form a ring of ∆+1
-// future rounds whose per-node lists are reused across laps, so the path is
-// allocation-free in steady state like the lockstep one.
-func (rt *Runtime) scheduleDeliveries(round int, envs []*Envelope) {
-	n := rt.cfg.N
-	ring := rt.net.Delta() + 1
-	if rt.buckets == nil {
-		rt.buckets = make([][][]Delivered, ring)
-		for i := range rt.buckets {
-			rt.buckets[i] = make([][]Delivered, n)
-		}
-	}
-	// Reclaim this round's slot: its deliveries were consumed by the Step
-	// calls at the top of this round, and its ring position is about to be
-	// reused for round+∆.
-	cur := rt.buckets[round%ring]
-	for i := range cur {
-		cur[i] = cur[i][:0]
-	}
-	for _, e := range envs {
-		if e.removed {
-			continue
-		}
-		d := Delivered{From: e.From, Msg: e.Msg}
-		if e.To == types.Broadcast {
-			for j := 0; j < n; j++ {
-				if !e.RemovedFor(types.NodeID(j)) {
-					rt.scheduleLink(round, e, types.NodeID(j), d)
-				}
-			}
-		} else if int(e.To) >= 0 && int(e.To) < n {
-			if !e.RemovedFor(e.To) {
-				rt.scheduleLink(round, e, e.To, d)
-			}
-		}
-	}
-	// The next round's inbox is whatever has accumulated for it: sends from
-	// this round scheduled at +1 together with earlier sends the model held
-	// back, in chronological send order (ties broken by envelope order).
-	next := rt.buckets[(round+1)%ring]
-	for i := 0; i < n; i++ {
-		rt.inboxes[i] = next[i]
-	}
-}
-
-// scheduleLink schedules one (envelope, recipient) link, enforcing the
-// delivery-bound and power contract documented on NetModel.
-func (rt *Runtime) scheduleLink(round int, e *Envelope, to types.NodeID, d Delivered) {
-	delta := rt.net.Delta()
-	delay := 1
-	if e.From != to {
-		delay = rt.net.Schedule(Link{
-			Round:       round,
-			From:        e.From,
-			To:          to,
-			HonestSend:  e.honestSend,
-			FromCorrupt: rt.status[e.From] == types.Corrupt,
-		})
-		if delay == Drop {
-			if rt.mayDrop(e) {
-				if rt.tr.Enabled() {
-					rt.traceFault(round, e.From, to)
-				}
-				return
-			}
-			// An illegal drop request degrades to the strongest legal move:
-			// holding the honest message to the bound.
-			delay = delta
-		}
-		if delay < 1 {
-			delay = 1
-		}
-		if delay > delta {
-			delay = delta
-		}
-	}
-	slot := rt.buckets[(round+delay)%(delta+1)]
-	slot[to] = append(slot[to], d)
-}
-
-// traceFault emits one accepted link drop. The per-(round, sender)
-// sequence counter reproduces the live chaos endpoint's numbering: both
-// runtimes inject faults in (send seq, recipient) order, so the streams
-// align event for event at Δ=1.
-func (rt *Runtime) traceFault(round int, from, to types.NodeID) {
-	seq := rt.faultSeq[from]
-	rt.faultSeq[from] = seq + 1
-	kind := obs.FaultDrop
-	if rt.faultKind != nil {
-		kind = rt.faultKind.DropKind(round, from)
-	}
-	rt.tr.Fault(round, from, to, int(seq), kind)
-}
-
-// honestFaultyCount returns the number of omission-faulty senders that are
-// not (yet) corrupt — the slice of the corruption budget the network model
-// holds. Fault sets are small (≤ F) and corruption is rare, so recounting
-// is cheaper than bookkeeping.
-func (rt *Runtime) honestFaultyCount() int {
-	n := 0
-	for id, faulty := range rt.faulty {
-		if faulty && rt.status[id] != types.Corrupt {
-			n++
-		}
-	}
-	return n
-}
-
-// mayDrop reports whether the network model is permitted to omit envelope
-// e's message: omission-faulty senders, adversary-injected traffic, and —
-// under strongly adaptive power only — messages whose sender was corrupted
-// after speaking (the after-the-fact-removal boundary of Theorem 1).
-func (rt *Runtime) mayDrop(e *Envelope) bool {
-	if rt.faulty != nil && int(e.From) < len(rt.faulty) && rt.faulty[e.From] {
-		return true
-	}
-	if !e.honestSend {
-		return true
-	}
-	return rt.status[e.From] == types.Corrupt && rt.adv.Power() == PowerStronglyAdaptive
 }
 
 func (rt *Runtime) collect(rounds int) *Result {
@@ -657,17 +278,15 @@ func (rt *Runtime) collect(rounds int) *Result {
 		res.Outputs[i] = bit
 		res.Decided[i] = ok
 		res.Halted[i] = rt.nodes[i].Halted()
-		// The sparse path allocates no status array: its adversary is
-		// validated passive, so every node is forever honest.
-		res.Corrupt[i] = rt.status != nil && rt.status[i] == types.Corrupt
-	}
-	if rt.sparse != nil {
-		res.Sparse = &SparseStats{
-			SendsPerRound: rt.sparse.traffic.Summary(),
-			Workers:       rt.sparse.workers,
-		}
+		res.Corrupt[i] = rt.corrupt(types.NodeID(i))
 	}
 	return res
+}
+
+// corrupt reports whether node id is corrupt; always false without the
+// envelope window, whose adversary is passive.
+func (rt *Runtime) corrupt(id types.NodeID) bool {
+	return rt.status != nil && rt.status[id] == types.Corrupt
 }
 
 // Metrics accounts communication complexity.

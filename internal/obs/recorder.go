@@ -84,8 +84,8 @@ func (r *Recorder) Events() []Event {
 
 // WriteJSONL writes the canonical JSONL export: one event per line, fields
 // hand-formatted in a fixed order, lines in canonical event order. Equal
-// seeds produce byte-identical output across the serial, parallel, sparse,
-// and Δ=1 live-cluster engines — the property trace_test.go pins.
+// seeds produce byte-identical output at every simulator stepping-worker
+// count and on the Δ=1 live cluster — the property trace_test.go pins.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	line := make([]byte, 0, 96)

@@ -51,8 +51,8 @@ type Config struct {
 	Suite fmine.Suite
 	// CoinSeed seeds the per-node private leader coins.
 	CoinSeed [32]byte
-	// Compact selects the memory-lean node representation of the large-N
-	// engine path (DESIGN.md §6): the per-epoch ACK sets are recycled by
+	// Compact selects the memory-lean node representation (DESIGN.md §6):
+	// the per-epoch ACK sets are recycled by
 	// truncation instead of reallocated every epoch, so a node's footprint
 	// stays bounded by the committee size across all R epochs.
 	Compact bool

@@ -99,7 +99,7 @@ func TestAsyncConfigValidation(t *testing.T) {
 		{"crashes over budget", Config{Protocol: ACS, N: 7, F: 2, Crashes: 3}, "corruption budget"},
 		{"advdelay without sched", Config{Protocol: ABA, N: 4, F: 1, Sched: SchedRandom, AdvDelay: 7}, "only applies"},
 		{"unknown sched", Config{Protocol: ABA, N: 4, F: 1, Sched: "chaotic"}, "unknown scheduler"},
-		{"sparse async", Config{Protocol: ABA, N: 4, F: 1, Sparse: true}, "drop Sparse"},
+		{"step workers async", Config{Protocol: ABA, N: 4, F: 1, StepWorkers: 4}, "drop StepWorkers"},
 		{"adversary async", Config{Protocol: ABA, N: 4, F: 1, Adversary: silentStatic{}}, "not a synchronous adversary"},
 	}
 	for _, tc := range cases {

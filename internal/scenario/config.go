@@ -157,31 +157,12 @@ type Config struct {
 	Erasure bool
 	// Adversary is the corruption strategy (nil = passive).
 	Adversary netsim.Adversary
-	// Parallel steps nodes on multiple goroutines.
-	Parallel bool
-	// Sparse selects the memory-lean large-N engine path (DESIGN.md §6):
-	// traffic-sized per-round delivery state in netsim, the lean F_mine
-	// coin table, and the compact node representations of the
-	// committee-sampled protocols, so executions with N in the 10⁵–10⁶
-	// range fit comfortably in memory. Observationally equivalent to the
-	// dense engine on the configurations it accepts; restricted to the
-	// delta-one lockstep model with a passive adversary (validate rejects
-	// anything else). Node stepping within a sparse round is sharded
-	// across SparseWorkers goroutines with deterministic reassembly.
-	Sparse bool
-	// SparseWorkers is the worker count for sharded sparse stepping
-	// (DESIGN.md §6): node IDs are partitioned into contiguous shards,
-	// stepped concurrently, and the per-shard send lists merged back into
-	// canonical envelope order, so results are byte-identical for every
-	// worker count. 0 defaults to GOMAXPROCS; 1 steps serially. Only valid
-	// with Sparse.
-	SparseWorkers int
-	// Intern enables copy-on-divergence interning of attestation state
-	// (DESIGN.md §6): all nodes of a run bind their attestation sets to
-	// one per-run intern table, so honest-identical histories share
-	// O(committee) storage instead of O(N·committee). Bit-identical to
-	// owned storage; defaults on under Sparse, opt-in otherwise.
-	Intern bool
+	// StepWorkers shards node stepping within each round of the lockstep
+	// engine (DESIGN.md §6): node IDs are split into StepWorkers contiguous
+	// ranges stepped concurrently, with results byte-identical for every
+	// count. 0 or 1 steps serially — the cheaper choice per instance on a
+	// few cores; large-N runs shard to cut wall time.
+	StepWorkers int
 	// Tracer receives the round-lifecycle event stream (DESIGN.md §10),
 	// threaded straight through to netsim.Config.Tracer. Trace content is a
 	// pure function of the rest of the config plus Seed; nil disables
@@ -232,11 +213,17 @@ type Config struct {
 	// surface stays Net + ChaosConfig.
 	chaosModel netsim.NetModel
 
-	// interner, when non-nil, is the per-execution attestation intern table
-	// RunCtx created so it can read the sharing statistics back after the
-	// run (Report.Intern). The builders reuse it instead of allocating their
-	// own; external Build callers still get a fresh table per call.
+	// interner and compact are RunCtx's storage choices for the simulator
+	// run it is about to build (DESIGN.md §6): every execution binds the
+	// attestation sets of core and phase king to a per-run intern table
+	// (surfaced as Report.Intern), and under the lockstep DeltaOne model
+	// with no adversary their nodes keep the compact two-slot iteration
+	// window instead of per-iteration maps. Build — the live cluster, the
+	// instrumented runtimes — leaves both zero: owned storage and the map
+	// layout, which stay correct when messages arrive late or an adversary
+	// replays old iterations.
 	interner *attest.Interner
+	compact  bool
 }
 
 // validate rejects configurations the simulator cannot execute
@@ -266,22 +253,8 @@ func (c *Config) validate() error {
 	if c.InputPattern != "" && c.Inputs != nil {
 		return fmt.Errorf("scenario: both Inputs and InputPattern %q set; pick one", c.InputPattern)
 	}
-	if c.Sparse {
-		if c.Net != "" && c.Net != NetDeltaOne {
-			return fmt.Errorf("scenario: Sparse requires the %q lockstep model, got net %q (the Δ-scheduling ring is per-node state the sparse path exists to avoid)", NetDeltaOne, c.Net)
-		}
-		if c.Adversary != nil {
-			return fmt.Errorf("scenario: Sparse requires a passive adversary (the envelope window would materialise per-round state)")
-		}
-		if c.Parallel {
-			return fmt.Errorf("scenario: Sparse steps nodes serially; drop Parallel (sharded sparse stepping is configured via SparseWorkers)")
-		}
-	}
-	if c.SparseWorkers < 0 {
-		return fmt.Errorf("scenario: SparseWorkers=%d cannot be negative", c.SparseWorkers)
-	}
-	if c.SparseWorkers != 0 && !c.Sparse {
-		return fmt.Errorf("scenario: SparseWorkers=%d without Sparse; sharded stepping is a sparse-engine feature", c.SparseWorkers)
+	if c.StepWorkers < 0 {
+		return fmt.Errorf("scenario: StepWorkers=%d cannot be negative", c.StepWorkers)
 	}
 	if err := c.validateAsync(); err != nil {
 		return err
@@ -366,6 +339,10 @@ func (c *Config) applyDefaults() {
 				c.Inputs[i] = types.BitFromBool(i%2 == 0)
 			}
 		}
+		// The pattern is now spelled out in Inputs; clearing it keeps a
+		// normalized config valid, so Normalized is idempotent and Build
+		// accepts its output.
+		c.InputPattern = ""
 	}
 	if c.Protocol.Broadcast() && !c.SenderInput.Valid() {
 		c.SenderInput = types.Zero
@@ -395,13 +372,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Net == NetPartition && c.PartitionRounds == 0 {
 		c.PartitionRounds = 2 * c.Delta
-	}
-	if c.Sparse {
-		// The sparse path exists for large N, where per-node attestation
-		// copies are the dominant memory term; interning is what makes the
-		// 10⁶ budget hold, so it is the sparse default rather than a knob
-		// to forget.
-		c.Intern = true
 	}
 }
 

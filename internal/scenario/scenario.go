@@ -253,9 +253,9 @@ func init() {
 		Chaos:       &ChaosConfig{Delta: 2, DropRate: 0.2},
 	})
 	MustRegister(Scenario{
-		Name:        "core-sparse-n100k",
-		Description: "core protocol on the sparse large-N engine path, n=100,000 f=30,000 λ=40",
-		Config:      Config{Protocol: Core, N: 100_000, F: 30_000, Lambda: 40, Sparse: true},
+		Name:        "core-n100k",
+		Description: "core protocol at scale, n=100,000 f=30,000 λ=40, stepping sharded over 4 workers",
+		Config:      Config{Protocol: Core, N: 100_000, F: 30_000, Lambda: 40, StepWorkers: 4},
 	})
 	MustRegister(Scenario{
 		Name:        "quadratic-n49",

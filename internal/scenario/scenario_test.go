@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -59,15 +60,23 @@ func TestInputPatterns(t *testing.T) {
 		InputsUnanimous0: func(int) types.Bit { return types.Zero },
 		InputsUnanimous1: func(int) types.Bit { return types.One },
 	} {
-		cfg := Config{Protocol: Core, N: 6, F: 1, InputPattern: pattern}
-		if err := cfg.validate(); err != nil {
+		cfg, err := Config{Protocol: Core, N: 6, F: 1, InputPattern: pattern}.Normalized()
+		if err != nil {
 			t.Fatalf("pattern %q rejected: %v", pattern, err)
 		}
-		cfg.applyDefaults()
 		for i, b := range cfg.Inputs {
 			if b != want(i) {
 				t.Fatalf("pattern %q input[%d] = %v", pattern, i, b)
 			}
+		}
+		// Normalized is idempotent: its output is a valid config that
+		// normalizes to itself (the live cluster re-validates it in Build).
+		again, err := cfg.Normalized()
+		if err != nil {
+			t.Fatalf("pattern %q: normalized config rejected: %v", pattern, err)
+		}
+		if !reflect.DeepEqual(again, cfg) {
+			t.Fatalf("pattern %q: Normalized not idempotent:\n%+v\n%+v", pattern, again, cfg)
 		}
 	}
 	bad := Config{Protocol: Core, N: 6, F: 1, InputPattern: "zigzag"}

@@ -1,56 +1,75 @@
 package ccba
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"ccba/internal/netsim"
+	"ccba/internal/scenario"
 )
 
-// The sparse large-N engine path (Config.Sparse, DESIGN.md §6) must be
-// observationally equivalent to the dense engine wherever it applies. Two
-// layers of pinning:
-//
-//   - the PR1 fixed-seed goldens reproduce bit-for-bit under Sparse —
-//     same outputs digest, rounds, and all four metrics counters — at
-//     every sharded-stepping worker count (sparse runs default interning
-//     on, so this also pins interned ≡ owned attestation storage);
-//   - a sweep across every protocol (both crypto modes where relevant)
-//     compares sparse runs at workers ∈ {1, 4} against a dense run of the
-//     same config.
+// Run chooses the node storage layout from the regime (DESIGN.md §6): under
+// the lockstep DeltaOne model with no adversary, core and phase king keep
+// the compact two-slot iteration window with interned attestation sets —
+// the "sparse" layout. Build keeps the per-iteration maps and owned
+// storage — the "dense" layout the live cluster and adversarial runs use.
+// The two must be observationally equivalent wherever Run picks compact:
+// same rounds, metrics, outputs, decisions, halts and verdicts, for every
+// protocol and at every stepping-worker count.
 
-// sparseEquivWorkers are the worker counts the equivalence suite sweeps:
-// serial and a sharded split.
-var sparseEquivWorkers = []int{1, 4}
+// runMapLayout executes cfg through Build + NewRuntime + Evaluate: the
+// owned-storage map layout.
+func runMapLayout(t *testing.T, cfg Config) *Report {
+	t.Helper()
+	norm, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, seize, steps, err := BuildNodes(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxRounds, err := norm.RoundBudget(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := netsim.NewRuntime(netsim.Config{
+		N: norm.N, F: norm.F, MaxRounds: maxRounds, Seize: seize, StepWorkers: norm.StepWorkers,
+		Tracer: norm.Tracer,
+	}, nodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.RunCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scenario.Evaluate(norm, res)
+}
 
+// runSim executes cfg through Run, which picks the compact layout in its
+// regime.
+func runSim(t *testing.T, cfg Config) *Report {
+	t.Helper()
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// The fixed-seed goldens (determinism_test.go) reproduce bit for bit under
+// Run's compact layout with interned storage, at every stepping-worker
+// count.
 func TestSparseMatchesGoldens(t *testing.T) {
 	for _, tc := range goldenCases {
-		for _, workers := range sparseEquivWorkers {
+		for _, workers := range stepWorkers {
 			t.Run(fmt.Sprintf("%s/sparse-w%d", tc.name, workers), func(t *testing.T) {
 				cfg := tc.cfg
 				cfg.Seed[0] = 7
-				cfg.Sparse = true
-				cfg.SparseWorkers = workers
-				rep, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Ok() {
-					t.Fatalf("violation: consistency=%v validity=%v termination=%v",
-						rep.Consistency, rep.Validity, rep.Termination)
-				}
-				if got := outputsDigest(rep); got != tc.outputs {
-					t.Errorf("outputs digest = %s, want %s", got, tc.outputs)
-				}
-				if rep.Rounds != tc.rounds {
-					t.Errorf("rounds = %d, want %d", rep.Rounds, tc.rounds)
-				}
-				if rep.Result.Metrics != tc.metrics {
-					t.Errorf("metrics = %+v, want %+v", rep.Result.Metrics, tc.metrics)
-				}
-				if rep.Result.Sparse == nil {
-					t.Errorf("sparse run missing telemetry")
-				} else if rep.Result.Sparse.Workers != workers {
-					t.Errorf("telemetry workers = %d, want %d", rep.Result.Sparse.Workers, workers)
-				}
+				cfg.StepWorkers = workers
+				checkGolden(t, tc, runSim(t, cfg))
 			})
 		}
 	}
@@ -73,38 +92,32 @@ func TestSparseMatchesDenseAcrossProtocols(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(sparse bool, workers int) *Report {
-				cfg := tc.cfg
-				cfg.Seed[0] = 11
-				cfg.Sparse = sparse
-				cfg.SparseWorkers = workers
-				rep, err := Run(cfg)
+			cfg := tc.cfg
+			cfg.Seed[0] = 11
+			d := runMapLayout(t, cfg)
+			for _, workers := range stepWorkers {
+				cfg.StepWorkers = workers
+				s, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return rep
-			}
-			d := run(false, 0)
-			for _, workers := range sparseEquivWorkers {
-				s := run(true, workers)
+				label := fmt.Sprintf("workers=%d", workers)
 				if d.Rounds != s.Rounds || d.Result.Metrics != s.Result.Metrics {
-					t.Fatalf("w%d: rounds/metrics: dense %d %+v, sparse %d %+v",
-						workers, d.Rounds, d.Result.Metrics, s.Rounds, s.Result.Metrics)
+					t.Fatalf("%s: rounds/metrics: map %d %+v, Run %d %+v",
+						label, d.Rounds, d.Result.Metrics, s.Rounds, s.Result.Metrics)
 				}
 				for i := range d.Outputs {
 					if d.Outputs[i] != s.Outputs[i] || d.Decided[i] != s.Decided[i] || d.Halted[i] != s.Halted[i] {
-						t.Fatalf("w%d node %d: dense (%v,%v,%v) sparse (%v,%v,%v)", workers, i,
+						t.Fatalf("%s node %d: map (%v,%v,%v) Run (%v,%v,%v)", label, i,
 							d.Outputs[i], d.Decided[i], d.Halted[i],
 							s.Outputs[i], s.Decided[i], s.Halted[i])
 					}
 				}
-				// The checker verdicts — streaming on the sparse path — must
-				// agree too.
 				if (d.Consistency == nil) != (s.Consistency == nil) ||
 					(d.Validity == nil) != (s.Validity == nil) ||
 					(d.Termination == nil) != (s.Termination == nil) {
-					t.Fatalf("w%d: checker verdicts differ: dense (%v,%v,%v) sparse (%v,%v,%v)",
-						workers, d.Consistency, d.Validity, d.Termination,
+					t.Fatalf("%s: checker verdicts differ: map (%v,%v,%v) Run (%v,%v,%v)",
+						label, d.Consistency, d.Validity, d.Termination,
 						s.Consistency, s.Validity, s.Termination)
 				}
 			}
@@ -112,33 +125,24 @@ func TestSparseMatchesDenseAcrossProtocols(t *testing.T) {
 	}
 }
 
-// Illegal sparse combinations must be rejected at the scenario layer with
-// an explanatory error, before any nodes are built.
+// The stepping-worker count's rules at the facade: negative counts and a
+// sharded async run are rejected, with an explanatory error, before any
+// nodes are built.
 func TestSparseConfigRejections(t *testing.T) {
-	base := Config{Protocol: Core, N: 40, F: 12, Lambda: 10, Sparse: true}
 	cases := []struct {
-		name   string
-		mutate func(*Config)
+		name string
+		cfg  Config
 	}{
-		{"worst-case-net", func(c *Config) { c.Net = NetWorstCase; c.Delta = 2 }},
-		{"jitter-net", func(c *Config) { c.Net = NetJitter; c.Delta = 2 }},
-		{"parallel", func(c *Config) { c.Parallel = true }},
-		{"workers-without-sparse", func(c *Config) { c.Sparse = false; c.SparseWorkers = 4 }},
-		{"negative-workers", func(c *Config) { c.SparseWorkers = -1 }},
-		{"adversary", func(c *Config) {
-			adv, err := NewAdversary("silent", *c, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Adversary = adv
-		}},
+		{"negative-workers", Config{Protocol: Core, N: 40, F: 12, Lambda: 10, StepWorkers: -1}},
+		{"async-workers", Config{Protocol: ABA, N: 16, F: 5, StepWorkers: 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
-			tc.mutate(&cfg)
-			if _, err := Run(cfg); err == nil {
-				t.Fatalf("config %+v unexpectedly accepted", cfg)
+			if _, err := Run(tc.cfg); err == nil {
+				t.Fatalf("config %+v unexpectedly accepted", tc.cfg)
+			}
+			if _, err := RunTrials(tc.cfg, 2); err == nil {
+				t.Fatalf("config %+v accepted by RunTrials", tc.cfg)
 			}
 		})
 	}
