@@ -1,12 +1,13 @@
 package ccba
 
-// The benchmark harness regenerates every experiment table (E1–E10 in
+// The benchmark harness regenerates every experiment table (E1–E12 in
 // DESIGN.md §3, one benchmark per table) and measures the substrate hot
 // paths. Run:
 //
 //	go test -bench=. -benchmem
 //
-// The En benchmarks report the headline quantity of their experiment as a
+// The end-to-end protocol and trial-sweep cases are cmd/bench's
+// BenchmarkCases. The En benchmarks report the headline quantity of their experiment as a
 // custom metric so regressions in the *reproduced result* — not just the
 // runtime — are visible.
 
@@ -167,54 +168,6 @@ func BenchmarkE12NetworkModels(b *testing.B) {
 	}
 }
 
-// --- Protocol end-to-end benchmarks ----------------------------------------
-
-func benchProtocol(b *testing.B, cfg Config) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		c := cfg
-		c.Seed[29] = byte(i)
-		c.Seed[28] = byte(i >> 8)
-		rep, err := Run(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Ok() {
-			b.Fatalf("violation: %v %v %v", rep.Consistency, rep.Validity, rep.Termination)
-		}
-	}
-}
-
-func BenchmarkCoreIdealN200(b *testing.B) {
-	benchProtocol(b, Config{Protocol: Core, N: 200, F: 60, Lambda: 40})
-}
-
-func BenchmarkCoreIdealN1000(b *testing.B) {
-	benchProtocol(b, Config{Protocol: Core, N: 1000, F: 300, Lambda: 40})
-}
-
-// The large-N scaling point (E13's middle sweep entry); ~0.3 s per op, so
-// use -benchtime=3x locally.
-func BenchmarkCoreIdealN10k(b *testing.B) {
-	benchProtocol(b, Config{Protocol: Core, N: 10_000, F: 3_000, Lambda: 40})
-}
-
-func BenchmarkCoreRealN200(b *testing.B) {
-	benchProtocol(b, Config{Protocol: Core, N: 200, F: 60, Lambda: 40, Crypto: Real})
-}
-
-func BenchmarkQuadraticN101(b *testing.B) {
-	benchProtocol(b, Config{Protocol: Quadratic, N: 101, F: 50})
-}
-
-func BenchmarkDolevStrongN48(b *testing.B) {
-	benchProtocol(b, Config{Protocol: DolevStrong, N: 48, F: 16, SenderInput: One})
-}
-
-func BenchmarkPhaseKingSampledN400(b *testing.B) {
-	benchProtocol(b, Config{Protocol: PhaseKingSampled, N: 400, F: 80, Lambda: 30, Epochs: 12})
-}
-
 // --- Substrate micro-benchmarks --------------------------------------------
 
 func BenchmarkVRFEval(b *testing.B) {
@@ -266,29 +219,3 @@ func BenchmarkPKISetup(b *testing.B) {
 		pki.Setup(100, seed)
 	}
 }
-
-// --- Trial-sweep benchmarks -------------------------------------------------
-//
-// The harness multiplies PR 1's per-run speedups by core count; these two
-// benchmarks measure the same 16-trial sweep serially and on a full worker
-// pool, so BENCH_PR2.json records the parallel speedup on the host that ran
-// it.
-
-func benchTrialSweep(b *testing.B, workers int) {
-	b.Helper()
-	cfg := Config{Protocol: Core, N: 200, F: 60, Lambda: 40}
-	for i := 0; i < b.N; i++ {
-		cfg.Seed[27] = byte(i)
-		st, err := RunTrialsOpts(cfg, TrialOpts{Trials: 16, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Violations != 0 {
-			b.Fatalf("%d violations", st.Violations)
-		}
-	}
-}
-
-func BenchmarkTrialSweepCoreN200Serial(b *testing.B) { benchTrialSweep(b, 1) }
-
-func BenchmarkTrialSweepCoreN200Parallel(b *testing.B) { benchTrialSweep(b, 0) }

@@ -1,6 +1,7 @@
 package ccba
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"ccba/internal/netsim"
@@ -184,13 +185,17 @@ func TestRunTrialsAdversaryIsolation(t *testing.T) {
 		t.Fatal("shared adversary instance accepted across trials")
 	}
 
-	var made []*countingAdversary
+	// Trials run concurrently, so each factory call writes only its own
+	// trial's slot.
+	made := make([]*countingAdversary, 4)
+	var calls atomic.Int32
 	var corrupted []int
 	_, err := RunTrialsOpts(cfg, TrialOpts{
 		Trials: 4,
-		NewAdversary: func(int) Adversary {
+		NewAdversary: func(trial int) Adversary {
+			calls.Add(1)
 			a := &countingAdversary{}
-			made = append(made, a)
+			made[trial] = a
 			return a
 		},
 		OnReport: func(_ int, rep *Report) { corrupted = append(corrupted, rep.NumCorrupt()) },
@@ -198,10 +203,13 @@ func TestRunTrialsAdversaryIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(made) != 4 {
-		t.Fatalf("factory built %d adversaries for 4 trials", len(made))
+	if c := calls.Load(); c != 4 {
+		t.Fatalf("factory built %d adversaries for 4 trials", c)
 	}
 	for i, a := range made {
+		if a == nil {
+			t.Fatalf("factory built no adversary for trial %d", i)
+		}
 		if a.setups != 1 {
 			t.Fatalf("adversary %d saw %d Setup calls; state leaked across trials", i, a.setups)
 		}

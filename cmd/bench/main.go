@@ -5,9 +5,11 @@
 //	go run ./cmd/bench -out BENCH_PR1.json
 //	go run ./cmd/bench -benchtime 5 -only CoreIdealN1000
 //
-// The benchmark set mirrors the protocol benchmarks in bench_test.go; each
-// case runs complete executions with per-iteration seed variation, exactly
-// like `go test -bench`.
+// Each case runs complete executions with per-iteration seed variation.
+// The case tables below are the only ones: BenchmarkCases (bench_test.go
+// in this directory) runs the same cases under `go test -bench`:
+//
+//	go test -run '^$' -bench 'Cases/CoreIdealN1000$' -benchmem ./cmd/bench
 package main
 
 import (
@@ -40,15 +42,12 @@ type benchCase struct {
 	Heavy           bool
 }
 
-// cases mirrors the protocol benchmarks of bench_test.go. Keep the two
-// lists in sync: this one feeds the tracked JSON artifacts.
-//
-// The two CoreIdealN1000Delta* cases bracket the scheduling layer:
-// DeltaOne must keep the zero-allocation fast path (allocs/op on par with
-// CoreIdealN1000), while delta=3 worst-case runs the Δ-scheduling ring at
-// full fan-out to iteration exhaustion. N10k/N100k are the scaling points
-// the E13 experiment sweeps; the N10kW1/W4 pair pins the stepping-worker
-// knob.
+// cases are the simulator cases. The two CoreIdealN1000Delta* cases
+// bracket the scheduling layer: DeltaOne must keep the zero-allocation fast
+// path (allocs/op on par with CoreIdealN1000), while delta=3 worst-case
+// runs the Δ-scheduling ring at full fan-out to iteration exhaustion.
+// N10k/N100k are the scaling points the E13 experiment sweeps; the
+// N10kW1/W4 pair pins the stepping-worker knob.
 var cases = []benchCase{
 	{Name: "CoreIdealN200", Cfg: ccba.Config{Protocol: ccba.Core, N: 200, F: 60, Lambda: 40}},
 	{Name: "CoreIdealN1000", Cfg: ccba.Config{Protocol: ccba.Core, N: 1000, F: 300, Lambda: 40}},
@@ -298,8 +297,7 @@ func matches(name, only string) bool {
 }
 
 // singleRunBody measures complete protocol executions, varying the seed per
-// iteration exactly like bench_test.go so results stay comparable with
-// `go test -bench`.
+// iteration.
 func singleRunBody(cfg ccba.Config, allowViolations bool) func(i int) error {
 	return func(i int) error {
 		c := cfg
@@ -487,13 +485,18 @@ func measure(iteration func(i int) error, iters int) (testing.BenchmarkResult, u
 			MemBytes:  after.TotalAlloc - before.TotalAlloc,
 		}, sampler.finish()
 	}
-	r := testing.Benchmark(func(b *testing.B) {
+	return testing.Benchmark(benchLoop(iteration)), sampler.finish()
+}
+
+// benchLoop runs iteration b.N times as one benchmark, failing it on the
+// first error.
+func benchLoop(iteration func(i int) error) func(b *testing.B) {
+	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := iteration(i); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	return r, sampler.finish()
+	}
 }

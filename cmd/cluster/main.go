@@ -37,7 +37,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -46,6 +45,7 @@ import (
 	"time"
 
 	"ccba"
+	"ccba/internal/cli"
 	"ccba/internal/cluster"
 	"ccba/internal/obs"
 	"ccba/internal/transport"
@@ -60,25 +60,15 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
+	common := cli.Register(fs)
+	fs.Lookup("f").Usage = "corruption budget (validation only: live runs are adversary-free)"
+	fs.Lookup("scenario").Usage = "run a registered scenario by name (its adversary must be none); other flags override its fields"
+	fs.Lookup("trace").Usage += "; at Δ=1 without -round-interval it is byte-identical to cmd/ba -trace of the same config"
 	var (
-		protocol      = fs.String("protocol", "core", "protocol: core, core-broadcast, quadratic, phaseking, phaseking-sampled, chenmicali, dolevstrong, committee")
-		n             = fs.Int("n", 200, "number of nodes")
-		f             = fs.Int("f", 60, "corruption budget (validation only: live runs are adversary-free)")
-		lambda        = fs.Int("lambda", 40, "expected committee size")
-		epochs        = fs.Int("epochs", 20, "epochs (phase-king protocols)")
-		crypto        = fs.String("crypto", "ideal", "crypto mode: ideal (F_mine hybrid) or real (Ed25519 VRF)")
-		seed          = fs.Int64("seed", 1, "execution seed")
-		erasure       = fs.Bool("erasure", false, "memory-erasure model (chenmicali)")
-		senderInput   = fs.Int("sender-input", 0, "sender input bit (broadcast protocols)")
-		unanimous     = fs.Int("unanimous", -1, "if 0 or 1, give every node that input bit (agreement protocols)")
-		scenarioName  = fs.String("scenario", "", "run a registered scenario by name (its adversary must be none)")
-		listScenarios = fs.Bool("scenarios", false, "list the registered scenarios and exit")
 		transportName = fs.String("transport", "chan", "transport: chan (in-process channels) or tcp (length-prefixed framing)")
 		node          = fs.Int("node", -1, "run only this node index over TCP, joining the -peers mesh (-1 = all nodes in this process)")
 		peers         = fs.String("peers", "", "comma-separated list of all node addresses in node order (tcp)")
 		roundTimeout  = fs.Duration("round-timeout", 30*time.Second, "per-round barrier timeout for tcp (chan runs never need one)")
-		asJSON        = fs.Bool("json", false, "emit the outcome as JSON (same document as cmd/ba)")
-		traceFile     = fs.String("trace", "", "write the canonical round-event trace (JSONL, DESIGN.md §10) to this file; at Δ=1 without -round-interval it is byte-identical to cmd/ba -trace of the same config")
 		obsAddr       = fs.String("obs-addr", "", "serve live telemetry on this host:port — /debug/vars (expvar, the \"ccba\" var) and /debug/pprof; port 0 picks a free one")
 		obsLinger     = fs.Duration("obs-linger", 0, "keep the -obs-addr endpoint alive this long after the run, so scrapers (CI smoke jobs) can read final counters")
 
@@ -94,72 +84,27 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	if *listScenarios {
-		for _, name := range ccba.ScenarioNames() {
-			sc, _ := ccba.LookupScenario(name)
-			fmt.Fprintf(out, "%-24s %s\n", name, sc.Description)
-		}
-		return nil
+	if *common.List {
+		return cli.ListScenarios(out)
 	}
 
-	set := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-
-	cfg := ccba.Config{
-		Protocol: ccba.Protocol(*protocol),
-		N:        *n, F: *f, Lambda: *lambda, Epochs: *epochs,
-		Crypto:  ccba.CryptoMode(*crypto),
-		Erasure: *erasure,
+	cfg, sc, err := common.Config()
+	if err != nil {
+		return err
 	}
 	var chaos *ccba.ChaosConfig
-	if *scenarioName != "" {
-		sc, ok := ccba.LookupScenario(*scenarioName)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (registered: %v)", *scenarioName, ccba.ScenarioNames())
-		}
+	if sc != nil {
 		if sc.Adversary != "" && sc.Adversary != "none" {
-			return fmt.Errorf("scenario %q runs adversary %q; live clusters execute honest protocols only (use cmd/ba)", *scenarioName, sc.Adversary)
+			return fmt.Errorf("scenario %q runs adversary %q; live clusters execute honest protocols only (use cmd/ba)", *common.Scenario, sc.Adversary)
 		}
-		cfg = sc.Config
 		if sc.Chaos != nil {
 			cc := *sc.Chaos
 			chaos = &cc
 		}
-		override := map[string]func(){
-			"protocol": func() { cfg.Protocol = ccba.Protocol(*protocol) },
-			"n":        func() { cfg.N = *n },
-			"f":        func() { cfg.F = *f },
-			"lambda":   func() { cfg.Lambda = *lambda },
-			"epochs":   func() { cfg.Epochs = *epochs },
-			"crypto":   func() { cfg.Crypto = ccba.CryptoMode(*crypto) },
-			"erasure":  func() { cfg.Erasure = *erasure },
-		}
-		for name, apply := range override {
-			if set[name] {
-				apply()
-			}
-		}
-	}
-	cfg.Seed = [32]byte{}
-	cfg.Seed[0] = byte(*seed)
-	cfg.Seed[1] = byte(*seed >> 8)
-	cfg.Seed[2] = byte(*seed >> 16)
-	if set["sender-input"] || *scenarioName == "" {
-		cfg.SenderInput = ccba.Zero
-		if *senderInput == 1 {
-			cfg.SenderInput = ccba.One
-		}
-	}
-	switch *unanimous {
-	case 0:
-		cfg.Inputs, cfg.InputPattern = nil, "unanimous-0"
-	case 1:
-		cfg.Inputs, cfg.InputPattern = nil, "unanimous-1"
 	}
 
-	if chaos == nil && (set["chaos-drop"] || set["chaos-faulty"] || set["chaos-reorder"] ||
-		set["chaos-partition"] || set["chaos-crash-from"] || set["chaos-crash-rounds"]) {
+	if chaos == nil && (common.Set("chaos-drop") || common.Set("chaos-faulty") || common.Set("chaos-reorder") ||
+		common.Set("chaos-partition") || common.Set("chaos-crash-from") || common.Set("chaos-crash-rounds")) {
 		chaos = &ccba.ChaosConfig{}
 	}
 	if chaos != nil {
@@ -172,7 +117,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			"chaos-crash-from":   func() { chaos.CrashFrom = *chaosCrashAt },
 			"chaos-crash-rounds": func() { chaos.CrashRounds = *chaosCrashLen },
 		} {
-			if set[name] {
+			if common.Set(name) {
 				apply()
 			}
 		}
@@ -183,7 +128,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		opts.RoundTimeout = *roundTimeout
 	}
 	var rec *ccba.TraceRecorder
-	if *traceFile != "" {
+	if *common.Trace != "" {
 		rec = ccba.NewTraceRecorder(0)
 		opts.Tracer = rec
 	}
@@ -214,7 +159,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	var rep *cluster.Report
-	var err error
 	switch {
 	case *transportName == "chan":
 		if *node >= 0 {
@@ -270,7 +214,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	if rec != nil {
-		if err := writeTrace(*traceFile, rec); err != nil {
+		if err := cli.WriteTrace(*common.Trace, rec); err != nil {
 			return err
 		}
 	}
@@ -279,20 +223,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		// the run's final counters and take a pprof profile.
 		time.Sleep(*obsLinger)
 	}
-	return report(out, cfg, rep, *seed, *transportName, netName, deltaOut, *asJSON)
-}
-
-// writeTrace exports a recorder's canonical JSONL to path.
-func writeTrace(path string, rec *ccba.TraceRecorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	if *common.JSON {
+		if err := cli.WriteJSON(out, cli.NewDoc(cfg, rep.Report, *common.Seed, netName, deltaOut)); err != nil {
+			return err
+		}
+		return cli.Verdict(rep.Report)
 	}
-	if err := rec.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	fmt.Fprintf(out, "protocol=%s n=%d f=%d crypto=%s transport=%s seed=%d\n",
+		cfg.Protocol, cfg.N, cfg.F, cfg.Crypto, *transportName, *common.Seed)
+	fmt.Fprintf(out, "  rounds:            %d\n", rep.Rounds)
+	cli.WriteTraffic(out, rep.Report)
+	return cli.WriteChecks(out, rep.Report)
 }
 
 // splitPeers parses the -peers list and checks it covers the cluster.
@@ -302,93 +243,4 @@ func splitPeers(peers string, n int) ([]string, error) {
 		return nil, fmt.Errorf("-peers lists %d addresses for a cluster of %d", len(addrs), n)
 	}
 	return addrs, nil
-}
-
-// singleRunJSON mirrors cmd/ba's document field for field, so the two
-// binaries' outputs diff clean for the same seed and configuration. A plain
-// live run executes the lockstep-equivalent ∆ = 1 schedule and reports the
-// delta-one model; a chaos run reports net "chaos" with its Δ instead.
-type singleRunJSON struct {
-	Protocol   string            `json:"protocol"`
-	N          int               `json:"n"`
-	F          int               `json:"f"`
-	Crypto     string            `json:"crypto"`
-	Net        string            `json:"net"`
-	Delta      int               `json:"delta"`
-	Seed       int64             `json:"seed"`
-	Rounds     int               `json:"rounds"`
-	Corrupted  int               `json:"corrupted"`
-	Metrics    ccba.Metrics      `json:"metrics"`
-	Ok         bool              `json:"ok"`
-	Violations map[string]string `json:"violations"`
-}
-
-func report(out io.Writer, cfg ccba.Config, rep *cluster.Report, seed int64, transportName, netName string, delta int, asJSON bool) error {
-	if asJSON {
-		// Field for field and value for value what cmd/ba emits — including
-		// an empty crypto for scenarios that leave it unset — so the two
-		// documents always diff clean.
-		doc := singleRunJSON{
-			Protocol:   string(cfg.Protocol),
-			N:          cfg.N,
-			F:          cfg.F,
-			Crypto:     string(cfg.Crypto),
-			Net:        netName,
-			Delta:      delta,
-			Seed:       seed,
-			Rounds:     rep.Rounds,
-			Corrupted:  rep.NumCorrupt(),
-			Metrics:    rep.Result.Metrics,
-			Ok:         rep.Ok(),
-			Violations: map[string]string{},
-		}
-		for name, err := range map[string]error{
-			"consistency": rep.Consistency, "validity": rep.Validity, "termination": rep.Termination,
-		} {
-			if err != nil {
-				doc.Violations[name] = err.Error()
-			}
-		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if _, err := out.Write(buf); err != nil {
-			return err
-		}
-		if !rep.Ok() {
-			return fmt.Errorf("security properties violated")
-		}
-		return nil
-	}
-
-	outputs := map[ccba.Bit]int{}
-	for i := range rep.Outputs {
-		if rep.Decided[i] {
-			outputs[rep.Outputs[i]]++
-		}
-	}
-	fmt.Fprintf(out, "protocol=%s n=%d f=%d crypto=%s transport=%s seed=%d\n",
-		cfg.Protocol, cfg.N, cfg.F, cfg.Crypto, transportName, seed)
-	fmt.Fprintf(out, "  rounds:            %d\n", rep.Rounds)
-	fmt.Fprintf(out, "  multicasts:        %d (%d bytes)\n",
-		rep.Result.Metrics.HonestMulticasts, rep.Result.Metrics.HonestMulticastBytes)
-	fmt.Fprintf(out, "  classical msgs:    %d (%d bytes)\n",
-		rep.Result.Metrics.HonestMessages, rep.Result.Metrics.HonestMessageBytes)
-	fmt.Fprintf(out, "  honest outputs:    %v\n", outputs)
-	fmt.Fprintf(out, "  consistency:       %v\n", errString(rep.Consistency))
-	fmt.Fprintf(out, "  validity:          %v\n", errString(rep.Validity))
-	fmt.Fprintf(out, "  termination:       %v\n", errString(rep.Termination))
-	if !rep.Ok() {
-		return fmt.Errorf("security properties violated")
-	}
-	return nil
-}
-
-func errString(err error) string {
-	if err == nil {
-		return "ok"
-	}
-	return "VIOLATED: " + err.Error()
 }

@@ -208,7 +208,7 @@ func New(cfg Config, id types.NodeID, input types.Bit) (*Node, error) {
 	if !cfg.Compact {
 		n.votes = make(map[uint32]*[2]attest.Set)
 		n.commits = make(map[uint32]*[2]attest.Set)
-	} else if cfg.Intern != nil {
+	} else {
 		for w := 0; w < 2; w++ {
 			bindPair(&n.voteWin[w].sets, cfg.Intern)
 			bindPair(&n.commitWin[w].sets, cfg.Intern)
@@ -333,9 +333,7 @@ func (n *Node) voteSet(iter uint32) *[2]attest.Set {
 	s := n.votes[iter]
 	if s == nil {
 		s = &[2]attest.Set{}
-		if n.cfg.Intern != nil {
-			bindPair(s, n.cfg.Intern)
-		}
+		bindPair(s, n.cfg.Intern)
 		n.votes[iter] = s
 	}
 	return s
@@ -348,9 +346,7 @@ func (n *Node) commitSet(iter uint32) *[2]attest.Set {
 	s := n.commits[iter]
 	if s == nil {
 		s = &[2]attest.Set{}
-		if n.cfg.Intern != nil {
-			bindPair(s, n.cfg.Intern)
-		}
+		bindPair(s, n.cfg.Intern)
 		n.commits[iter] = s
 	}
 	return s

@@ -127,7 +127,7 @@ func init() {
 	})
 
 	RegisterProtocol(PhaseKingPlain, func(cfg Config) ([]netsim.Node, func(types.NodeID) any, int, error) {
-		pcfg := phaseking.Config{N: cfg.N, Epochs: cfg.Epochs, CoinSeed: cfg.Seed, Compact: cfg.compact, Intern: cfg.interner}
+		pcfg := phaseking.Config{N: cfg.N, Epochs: cfg.Epochs, CoinSeed: cfg.Seed, Intern: cfg.interner}
 		nodes, err := phaseking.NewNodes(pcfg, cfg.Inputs)
 		return nodes, nil, pcfg.Rounds() + 1, err
 	})
@@ -140,7 +140,7 @@ func init() {
 		}
 		pcfg := phaseking.Config{
 			N: cfg.N, Epochs: cfg.Epochs, Sampled: true, Lambda: cfg.Lambda,
-			Suite: suite, CoinSeed: cfg.Seed, Compact: cfg.compact, Intern: cfg.interner,
+			Suite: suite, CoinSeed: cfg.Seed, Intern: cfg.interner,
 		}
 		nodes, err := phaseking.NewNodes(pcfg, cfg.Inputs)
 		return nodes, func(id types.NodeID) any { return suite.Miner(id) }, pcfg.Rounds() + 1, err

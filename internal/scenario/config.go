@@ -217,7 +217,7 @@ type Config struct {
 	// run it is about to build (DESIGN.md §6): every execution binds the
 	// attestation sets of core and phase king to a per-run intern table
 	// (surfaced as Report.Intern), and under the lockstep DeltaOne model
-	// with no adversary their nodes keep the compact two-slot iteration
+	// with no adversary core nodes keep the compact two-slot iteration
 	// window instead of per-iteration maps. Build — the live cluster, the
 	// instrumented runtimes — leaves both zero: owned storage and the map
 	// layout, which stay correct when messages arrive late or an adversary
